@@ -1,10 +1,10 @@
 """E15 — fuzzing throughput and coverage growth (ISSUE 3).
 
 The fuzzer only earns its keep if (a) it pushes specimens through the
-four-engine differential oracle fast enough to matter and (b) its
-coverage map keeps growing as the campaign runs — a flat curve would
-mean the generators collapse onto a few shapes and the "as many
-scenarios as you can imagine" goal is not being met.
+{vanilla, SOFIA} x {reference, fused} differential oracle fast enough
+to matter and (b) its coverage map keeps growing as the campaign runs —
+a flat curve would mean the generators collapse onto a few shapes and
+the "as many scenarios as you can imagine" goal is not being met.
 
 ``test_fuzz_smoke`` is the cheap CI guard: a fixed-seed serial campaign
 whose *any* divergence or triage artifact fails the build (the shipped
@@ -22,6 +22,7 @@ from repro.fuzz import CoverageMap, Genome, generate, run_fuzz, run_oracle
 from repro.obs import Telemetry, campaign as obs_campaign
 from repro.runner import task_rng
 from repro.fuzz.generators import random_genome
+from repro.sim import DEFAULT_ENGINE
 
 SMOKE_SEEDS = 150
 CURVE_BATCHES = 5
@@ -107,7 +108,7 @@ def test_telemetry_overhead(tmp_path, bench_environment):
         "seconds_plain": round(t_plain, 3),
         "seconds_telemetry": round(t_observed, 3),
         "overhead": round(overhead, 4),
-        "environment": bench_environment(engine="predecoded"),
+        "environment": bench_environment(engine=DEFAULT_ENGINE),
     }
     path = tmp_path / "e15_telemetry_overhead.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -130,13 +130,18 @@ def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
         return outcome
     outcome.blocks = image.num_blocks
 
+    # batch warms the SOFIA front end only; the plain cores (vanilla and
+    # the ISR baselines built on it) run every other engine as requested
+    plain_engine = None if engine == "batch" else engine
     plain_targets = [(TARGET_VANILLA,
-                      lambda: VanillaMachine(exe))]
+                      lambda: VanillaMachine(exe, engine=plain_engine))]
     if include_baselines:
         plain_targets.append(
-            (TARGET_XOR, lambda: XorIsrMachine(exe, xor_key)))
+            (TARGET_XOR, lambda: XorIsrMachine(exe, xor_key,
+                                               engine=plain_engine)))
         plain_targets.append(
-            (TARGET_ECB, lambda: EcbIsrMachine(exe, ecb_key)))
+            (TARGET_ECB, lambda: EcbIsrMachine(exe, ecb_key,
+                                               engine=plain_engine)))
 
     sofia_clean, traversed, clean_machine = _clean_sofia(image, keys,
                                                          engine=engine)

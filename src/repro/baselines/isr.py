@@ -93,7 +93,10 @@ class EcbIsrMachine(VanillaMachine):
         super().__init__(encrypted, timing, engine=engine)
         # ECB pairs couple adjacent words: a write to either invalidates
         # both decoded entries, so just drop everything on any code write.
-        self.memory.add_code_listener(lambda _addr: self._flush_decoded())
+        self.memory.add_code_listener(self._on_pair_write)
+
+    def _on_pair_write(self, _address: int) -> None:
+        self._flush_decoded()
 
     def _fetch_decode(self, pc: int) -> Instruction:
         cached = self._decoded.get(pc)

@@ -35,11 +35,11 @@ serial path).  ``run`` and ``run-protected`` accept ``--engine`` with
 any registered engine (:data:`repro.sim.engine.ENGINES`) to pin the
 execution engine; ``fuzz``, ``attacksynth`` and ``dse`` accept
 ``--engine`` with any campaign-grade engine
-(:data:`repro.sim.engine.CAMPAIGN_ENGINES` — the bit-sliced batch
-engine of :mod:`repro.sim.batch` or the fused-superblock engine of
-:mod:`repro.sim.fused`); results are bit-identical to the default
-scalar path either way.  ``dse --hw`` folds the profile-derived
-hardware cost model (:mod:`repro.hwmodel.profilecost`) into the sweep —
+(:data:`repro.sim.engine.CAMPAIGN_ENGINES` — the default fused engine
+of :mod:`repro.sim.fused` or the bit-sliced batch engine of
+:mod:`repro.sim.batch`); results are bit-identical either way.
+``dse --hw`` folds the profile-derived hardware cost model
+(:mod:`repro.hwmodel.profilecost`) into the sweep —
 ``--unroll LIST`` picks the cipher unroll factors (default ``min``, each
 cipher's fetch-sustaining minimum) — and the export becomes the unified
 3-way Pareto over overhead, forgery bound and area-delay.
@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-O", "--optimize", action="store_true",
                    help="enable the minicc peephole optimizer")
     p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine (default: predecoded)")
+                   help=f"execution engine (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("protect", help="build a SOFIA image")
@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-instructions", type=int, default=50_000_000)
     p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="execution engine (default: predecoded)")
+                   help=f"execution engine (default: {DEFAULT_ENGINE})")
     p.set_defaults(func=cmd_run_protected)
 
     p = sub.add_parser("disasm", help="disassemble (vanilla layout)")
@@ -740,8 +740,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baselines", action="store_true",
                    help="also lockstep the XOR/ECB ISR baseline machines")
     p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="widen the engine axis to a three-way "
-                        "reference/predecoded/ENGINE lockstep")
+                   help="widen the SOFIA engine axis to a three-way "
+                        f"reference/{DEFAULT_ENGINE}/ENGINE lockstep "
+                        f"(the default engine, {DEFAULT_ENGINE}, adds "
+                        "nothing)")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_fuzz)

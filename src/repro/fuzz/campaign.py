@@ -148,8 +148,8 @@ def run_fuzz(seeds: int = 500, *, seed: int = 0x5EED,
     is loaded first, so campaigns accumulate across invocations.
     ``max_failures`` caps how many *distinct* failing specimens are
     minimized and triaged (minimization re-runs the oracle many times).
-    ``engine="batch"`` or ``engine="fused"`` widens every specimen's
-    engine axes to a three-way reference/predecoded/ENGINE lockstep
+    ``engine="batch"`` widens every specimen's SOFIA engine axis to a
+    three-way reference/fused/batch lockstep; ``"fused"`` is the default
     (see :func:`~repro.fuzz.oracle.run_oracle`).
 
     ``store_dir`` caches every specimen's :class:`OracleReport` in a

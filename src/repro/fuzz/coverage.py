@@ -6,13 +6,13 @@ corpus has not yet pinned":
 
 ``bi:<m1>><m2>``   mnemonic bigrams over the program's instruction
                    stream (plus ``mn:<m>`` unigrams) — ALU/memory/CTI
-                   semantics and the predecoded dispatch table
+                   semantics and the fast engine's semantics table
 ``bk:...``         block-geometry classes from the protected image:
                    block kind x entry-path count, forwarder blocks,
                    multiplexor-tree size buckets, block-count buckets
 ``lr:<runs>x<max>`` I-cache line-run shapes: each block's fetch
                    addresses collapsed into same-line runs (the exact
-                   structure the predecoded engine's fetch loop walks)
+                   structure the fused engine's fetch loop walks)
 ``oc:...``         outcome classes: per-core status, detection
                    verdicts, violation kinds, trap classes, and
                    cycle-overhead buckets from the differential runs
@@ -59,7 +59,7 @@ def image_features(image, line_words: int = 8) -> List[str]:
 
     ``line_words`` is the I-cache line geometry the specimen runs under
     (``TimingParams.icache_line_words``); the oracle passes its timing's
-    value so the ``lr:`` shapes match what the predecoded fetch loop
+    value so the ``lr:`` shapes match what the fused engine's fetch loop
     actually walks.
     """
     features = [f"bk:words{image.block_words}",
@@ -75,7 +75,7 @@ def image_features(image, line_words: int = 8) -> List[str]:
             features.append("bk:forwarder")
         # same-line runs of the block's fetch window (offset-0 entry):
         # the shape is (number of runs) x (longest run) — the structure
-        # engine.compile_fetch_runs hands the predecoded fetch loop
+        # engine.compile_fetch_runs hands the fused engine's fetch loop
         run_lengths = []
         previous_line = None
         for index in range(image.block_words):

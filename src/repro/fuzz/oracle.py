@@ -1,7 +1,8 @@
-"""Differential oracles: one specimen, four engines, every observable.
+"""Differential oracles: one specimen, two cores x two engines, every
+observable.
 
 ``run_oracle`` drives a specimen through protect → {vanilla, SOFIA} x
-{reference, predecoded} and flags *any* observable disagreement:
+{reference, fused} and flags *any* observable disagreement:
 
 * **engine axes** (``vanilla-engine``, ``sofia-engine``) — the two
   engines of one machine must be bit-identical in every
@@ -33,6 +34,7 @@ from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
 from ..isa.assembler import assemble, parse
 from ..isa.program import AsmProgram
+from ..sim.engine import DEFAULT_ENGINE
 from ..sim.sofia import SofiaMachine
 from ..sim.timing import DEFAULT_TIMING, TimingParams
 from ..sim.vanilla import VanillaMachine
@@ -95,15 +97,15 @@ _FIELD_NAMES = ("status", "cycles", "instructions", "exit_code",
 def _compare_engines(axis: str, make_machine, budget: int,
                      divergences: List[Divergence],
                      engines: Tuple[str, ...] = ("reference",)):
-    """Run ``engines`` against the predecoded engine of one machine; flag
+    """Run ``engines`` against the default engine of one machine; flag
     every differing observable.
 
-    Returns the predecoded run's (machine, result) — the pair the rest
-    of the oracle keeps reasoning about.  Each extra engine (the
-    ``--engine`` opt-in adds ``"batch"`` or ``"fused"``) is held to the
-    same bit-identical contract.
+    Returns the default run's (machine, result) — the pair the rest of
+    the oracle keeps reasoning about.  Each extra engine (the
+    ``--engine batch`` opt-in adds ``"batch"``) is held to the same
+    bit-identical contract.
     """
-    pre = make_machine("predecoded")
+    pre = make_machine(DEFAULT_ENGINE)
     pre_result = pre.run(max_instructions=budget)
     pre_fields = _result_fields(pre_result)
     for engine in engines:
@@ -113,7 +115,7 @@ def _compare_engines(axis: str, make_machine, budget: int,
         for name, a, b in zip(_FIELD_NAMES, other_fields, pre_fields):
             if a != b:
                 divergences.append(Divergence(
-                    axis, name, f"{engine}={a!r} predecoded={b!r}"))
+                    axis, name, f"{engine}={a!r} {DEFAULT_ENGINE}={b!r}"))
         if other.state.regs != pre.state.regs:
             delta = [i for i in range(32)
                      if other.state.regs[i] != pre.state.regs[i]]
@@ -123,7 +125,7 @@ def _compare_engines(axis: str, make_machine, budget: int,
             divergences.append(Divergence(
                 axis, "pc",
                 f"{engine}=0x{other.state.pc:08x} "
-                f"predecoded=0x{pre.state.pc:08x}"))
+                f"{DEFAULT_ENGINE}=0x{pre.state.pc:08x}"))
         if other.memory.ram != pre.memory.ram:
             first = next(
                 i for i, (x, y) in
@@ -153,12 +155,12 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
     forever, so reduction probes run with budgets scaled to the
     original failure instead of the full campaign budgets.
 
-    ``engine="batch"`` or ``engine="fused"`` widens the SOFIA engine
-    axis to a three-way lockstep — reference and the chosen engine each
-    compared bit-for-bit against predecoded — so every fuzzing campaign
-    that opts in also differential-tests that engine on generated
-    programs.  ``"fused"`` additionally widens the vanilla axis (the
-    fused engine exists on both cores; batch is SOFIA-only).
+    Both engine axes hold the reference oracle bit-for-bit to the
+    default engine.  ``engine="batch"`` widens the SOFIA axis to a
+    three-way lockstep, so every fuzzing campaign that opts in also
+    differential-tests the batch-warmed front end on generated programs
+    (batch warms the SOFIA front end only, so the vanilla axis stays
+    two-way); ``engine="fused"`` is the default and adds nothing.
     """
     report = OracleReport(specimen=specimen)
     genome = specimen.genome
@@ -179,12 +181,11 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
     report.features.extend(image_features(image, timing.icache_line_words))
 
     divergences = report.divergences
-    extra = () if engine in (None, "predecoded") else (engine,)
-    vanilla_engines = ("reference",) + (extra if engine == "fused" else ())
+    extra = () if engine in (None, DEFAULT_ENGINE) else (engine,)
     _, vanilla = _compare_engines(
         "vanilla-engine",
         lambda eng: VanillaMachine(executable, timing, engine=eng),
-        vanilla_budget, divergences, engines=vanilla_engines)
+        vanilla_budget, divergences)
     sofia_engines = ("reference",) + extra
     _, sofia = _compare_engines(
         "sofia-engine",

@@ -4,8 +4,8 @@ from .batch import (BATCH_WIDTH, LockstepLeader, adopt_caches, fork_machine,
                     warm_front_end)
 from .cache import CacheStats, DirectMappedCache
 from .core import CPUState, ExecOutcome, execute, to_signed
-from .engine import (CAMPAIGN_ENGINES, DEFAULT_ENGINE, ENGINES,
-                     compile_handler, predecode, resolve_engine)
+from .engine import (CAMPAIGN_ENGINES, DEFAULT_ENGINE, ENGINES, SEMANTICS,
+                     compile_step, predecode, resolve_engine)
 from .fused import compile_sofia_block, compile_vanilla_run
 from .memory import Memory, MMIODevice
 from .result import ExecutionResult, Status, ViolationRecord
@@ -27,7 +27,7 @@ __all__ = [
     "BATCH_WIDTH", "LockstepLeader", "warm_front_end", "fork_machine",
     "adopt_caches",
     "compile_sofia_block", "compile_vanilla_run",
-    "compile_handler", "predecode",
+    "SEMANTICS", "compile_step", "predecode",
     "TimingParams", "DEFAULT_TIMING", "LEON3_MINIMAL_TIMING",
     "instruction_cycles", "cycle_costs",
     "TraceEntry", "trace_vanilla", "trace_sofia", "diff_traces",

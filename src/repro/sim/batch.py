@@ -29,13 +29,12 @@ any terminal (non-LIMIT) status because re-running a halted machine
 re-executes block payload — forks made after that point replicate the
 terminal state, exactly like the scalar path.
 
-Specimens resume on the fused-superblock engine (one compiled call per
-verified block, bit-identical to the scalar predecoded loop — see
+Specimens resume on the fused engine (hot blocks run as one compiled
+call each, bit-identical to the reference oracle — see
 :mod:`repro.sim.fused`), so every per-commit observable (registers, PC,
 memory, cycles, I-cache stats) is byte-identical to a fresh scalar run —
 the batch differential suite and the W=1 == scalar determinism tests gate
-this, and the peel-off suffixes no longer pay the per-instruction
-dispatch that capped E18.
+this, and hot peel-off suffixes do not pay per-instruction dispatch.
 
 ``SofiaMachine(..., engine="batch")`` means: the fused run loop over a
 batch-warmed front end (warmed lazily on the first ``run()``).

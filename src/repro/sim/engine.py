@@ -1,22 +1,31 @@
-"""Predecoded execution engine: compile instructions once, step closures.
+"""Instruction semantics of the fast engine, and the engine registry.
 
 :func:`repro.sim.core.execute` is the *reference semantics oracle*: a
 ~40-arm mnemonic dispatch that re-reads every operand field, allocates a
 fresh :class:`~repro.sim.core.ExecOutcome` and re-derives
 :func:`~repro.sim.timing.instruction_cycles` on every step.  That is the
 right shape for auditing the ISA against the paper, and the wrong shape
-for the millions of steps a fault campaign or overhead sweep executes.
+for the millions of steps a campaign executes.
 
-This module compiles each decoded :class:`~repro.isa.instructions.
-Instruction` exactly once into a specialized *handler* — a closure drawn
-from a per-mnemonic dispatch table that binds the operand indices,
-immediates and masks as default arguments (locals, not cell lookups) —
-paired with its two precomputed cycle costs from
-:func:`~repro.sim.timing.cycle_costs`.  The machines then step cached
-handlers; ``engine="reference"`` keeps the oracle loop selectable.
+The fast engine writes the ISA down exactly once more, as
+:data:`SEMANTICS`: one source template per mnemonic over the register
+list ``r``, with ``{placeholders}`` for the decoded operands (see
+:data:`OPERANDS`).  Two code generators consume that one table:
 
-Handler contract
-----------------
+* :func:`compile_step` turns one decoded instruction into a *step
+  handler* — a closure whose operands are bound as default arguments —
+  that a machine steps while a run is still cold.  The closures come from
+  per-mnemonic factories generated from the templates once, at import
+  (one ``exec`` for the whole table, never one per instruction);
+* :mod:`repro.sim.fused` formats the same templates with literal operands
+  and concatenates a whole straight-line run into one function once the
+  run is hot.
+
+Writes to ``r0`` are compiled out by both (the oracle discards them in
+``CPUState.write`` with no other side effect).
+
+Step-handler contract
+---------------------
 ``handler(regs, memory, pc) -> Optional[int]`` where the return value is
 
 * ``None``        — sequential flow (``pc + 4`` / next payload slot); the
@@ -25,20 +34,20 @@ Handler contract
   address because architectural values are masked to 32 bits);
 * any other int   — the next PC; the taken cycle cost applies.
 
-The mapping to the oracle is exact: a handler returns non-``None`` iff
-``execute`` returns an outcome with ``next_pc is not None`` or ``halted``,
-and a *branch* handler returns non-``None`` iff ``branch_taken`` — so
-charging the taken cost on non-``None`` reproduces
-``instruction_cycles(instr, timing, outcome.branch_taken)`` bit for bit
-(unconditional transfers bake the jump penalty into both costs).
-Handlers raise the same :class:`~repro.errors.SimulationError` as the
-oracle for bus errors, MMIO violations and misaligned accesses, because
-they call the same :class:`~repro.sim.memory.Memory` methods.
+A handler returns non-``None`` iff ``execute`` returns an outcome with
+``next_pc is not None`` or ``halted``, and a *branch* handler returns
+non-``None`` iff ``branch_taken`` — so charging the taken cost on
+non-``None`` reproduces ``instruction_cycles(instr, timing,
+outcome.branch_taken)`` bit for bit (unconditional transfers bake the
+jump penalty into both costs).  Handlers raise the same
+:class:`~repro.errors.SimulationError` as the oracle for bus errors, MMIO
+violations and misaligned accesses, because they call the same
+:class:`~repro.sim.memory.Memory` methods.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction
@@ -52,22 +61,20 @@ SIGN_BIT = 0x80000000
 #: address can be negative, so it never collides with a branch target)
 HALT = -1
 
-#: the engines a machine can run; the predecoded engine is the default,
-#: ``"reference"`` selects the original ``core.execute`` oracle loop,
-#: ``"batch"`` the bit-slice-warmed front end (:mod:`repro.sim.batch`)
-#: whose runs execute fused, and ``"fused"`` the superblock engine that
-#: source-compiles each straight-line run into one call
-#: (:mod:`repro.sim.fused`).  This tuple is the single home of the engine
+#: the engines a machine can run: ``"fused"`` (the default) interprets
+#: each straight-line run with step handlers until it is hot and then
+#: calls it as one compiled function (:mod:`repro.sim.fused`);
+#: ``"reference"`` selects the ``core.execute`` oracle loop; ``"batch"``
+#: is the fused loop over a bit-slice-warmed SOFIA front end
+#: (:mod:`repro.sim.batch`).  This tuple is the single home of the engine
 #: name surface: CLI choices, fuzz-oracle axes and campaign plumbing all
 #: derive from it.
-ENGINES = ("predecoded", "reference", "batch", "fused")
-DEFAULT_ENGINE = "predecoded"
+ENGINES = ("reference", "fused", "batch")
+DEFAULT_ENGINE = "fused"
 
-#: the engines campaign drivers accept beyond the default: everything that
-#: is not the default scalar loop or the reference oracle (derived, never
-#: repeated as a literal tuple elsewhere)
-CAMPAIGN_ENGINES = tuple(e for e in ENGINES
-                         if e not in (DEFAULT_ENGINE, "reference"))
+#: the engines campaign drivers accept: everything but the reference
+#: oracle (derived, never repeated as a literal tuple elsewhere)
+CAMPAIGN_ENGINES = tuple(e for e in ENGINES if e != "reference")
 
 Handler = Callable[[list, Memory, int], Optional[int]]
 
@@ -82,467 +89,267 @@ def resolve_engine(engine: Optional[str]) -> str:
     return engine
 
 
-# -- handler compilers ----------------------------------------------------
-#
-# One compiler per mnemonic.  Each binds everything the hot path needs as
-# default arguments; writes to r0 are compiled out entirely (the oracle
-# discards them in CPUState.write with no other side effect).
+# -- the semantics table ---------------------------------------------------
+
+class Semantics(NamedTuple):
+    """How one mnemonic executes.
+
+    ``kind`` is ``"op"`` (register/immediate ALU; ``code`` is statements
+    writing ``r[{rd}]``, empty for ``nop``), ``"load"``/``"store"``
+    (``size`` bytes at ``r[{rs1}] + {imm}``, loads sign-extended when
+    ``signed``), ``"branch"`` (``code`` is the taken condition; the target
+    is ``{uimm}``), ``"jump"`` (``code`` is the target expression; ``link``
+    names the register receiving the return address, if any) or
+    ``"halt"``.  Statement templates may use the scratch names ``x``,
+    ``y`` and ``q``.
+    """
+
+    kind: str
+    code: str = ""
+    size: int = 0
+    signed: bool = False
+    link: str = ""
+
+
+#: the two 32-bit constants templates spell as ``{M}`` and ``{S}``
+CONSTANTS = {"M": str(MASK32), "S": str(SIGN_BIT)}
+
+# signed 32-bit division truncating toward zero (C/SPARC semantics);
+# ``x - ((x & S) << 1)`` is the signed view of a 32-bit value
+_DIVIDE = """\
+y = r[{rs2}]
+x = r[{rs1}]
+if y:
+    y -= (y & {S}) << 1
+    x -= (x & {S}) << 1
+    q = abs(x) // abs(y)
+    if (x < 0) != (y < 0):
+        q = -q
+    r[{rd}] = %s
+else:
+    r[{rd}] = %s"""
+
+SEMANTICS: Dict[str, Semantics] = {
+    "nop": Semantics("op"),
+    "halt": Semantics("halt"),
+    # register ALU
+    "add": Semantics("op", "r[{rd}] = (r[{rs1}] + r[{rs2}]) & {M}"),
+    "sub": Semantics("op", "r[{rd}] = (r[{rs1}] - r[{rs2}]) & {M}"),
+    "and": Semantics("op", "r[{rd}] = r[{rs1}] & r[{rs2}]"),
+    "or": Semantics("op", "r[{rd}] = r[{rs1}] | r[{rs2}]"),
+    "xor": Semantics("op", "r[{rd}] = r[{rs1}] ^ r[{rs2}]"),
+    "sll": Semantics("op", "r[{rd}] = (r[{rs1}] << (r[{rs2}] & 31)) & {M}"),
+    "srl": Semantics("op", "r[{rd}] = r[{rs1}] >> (r[{rs2}] & 31)"),
+    "sra": Semantics("op", "x = r[{rs1}]\n"
+                     "r[{rd}] = ((x - ((x & {S}) << 1)) >> (r[{rs2}] & 31))"
+                     " & {M}"),
+    "mul": Semantics("op", "r[{rd}] = (r[{rs1}] * r[{rs2}]) & {M}"),
+    "div": Semantics("op", _DIVIDE % ("q & {M}", "{M}")),
+    "rem": Semantics("op", _DIVIDE % ("(x - y * q) & {M}", "x")),
+    # signed compares via sign-bit bias: (v ^ S) orders unsigned 32-bit
+    # values exactly like their signed views
+    "slt": Semantics("op", "r[{rd}] = 1 if (r[{rs1}] ^ {S}) < "
+                     "(r[{rs2}] ^ {S}) else 0"),
+    "sltu": Semantics("op", "r[{rd}] = 1 if r[{rs1}] < r[{rs2}] else 0"),
+    # immediate ALU (register values are already 32-bit, so masking the
+    # immediate first is the same as masking the result)
+    "addi": Semantics("op", "r[{rd}] = (r[{rs1}] + {imm}) & {M}"),
+    "andi": Semantics("op", "r[{rd}] = r[{rs1}] & {uimm}"),
+    "ori": Semantics("op", "r[{rd}] = r[{rs1}] | {uimm}"),
+    "xori": Semantics("op", "r[{rd}] = r[{rs1}] ^ {uimm}"),
+    "slli": Semantics("op", "r[{rd}] = (r[{rs1}] << {sh}) & {M}"),
+    "srli": Semantics("op", "r[{rd}] = r[{rs1}] >> {sh}"),
+    "srai": Semantics("op", "x = r[{rs1}]\n"
+                      "r[{rd}] = ((x - ((x & {S}) << 1)) >> {sh}) & {M}"),
+    "slti": Semantics("op", "r[{rd}] = 1 if (r[{rs1}] ^ {S}) < {sbias} "
+                      "else 0"),
+    "sltiu": Semantics("op", "r[{rd}] = 1 if r[{rs1}] < {uimm} else 0"),
+    "lui": Semantics("op", "r[{rd}] = {hi}"),
+    # memory
+    "lw": Semantics("load", size=4),
+    "lh": Semantics("load", size=2, signed=True),
+    "lhu": Semantics("load", size=2),
+    "lb": Semantics("load", size=1, signed=True),
+    "lbu": Semantics("load", size=1),
+    "sw": Semantics("store", size=4),
+    "sh": Semantics("store", size=2),
+    "sb": Semantics("store", size=1),
+    # control transfer
+    "beq": Semantics("branch", "r[{rs1}] == r[{rs2}]"),
+    "bne": Semantics("branch", "r[{rs1}] != r[{rs2}]"),
+    "blt": Semantics("branch", "(r[{rs1}] ^ {S}) < (r[{rs2}] ^ {S})"),
+    "bge": Semantics("branch", "(r[{rs1}] ^ {S}) >= (r[{rs2}] ^ {S})"),
+    "bltu": Semantics("branch", "r[{rs1}] < r[{rs2}]"),
+    "bgeu": Semantics("branch", "r[{rs1}] >= r[{rs2}]"),
+    "jmp": Semantics("jump", "{uimm}"),
+    "call": Semantics("jump", "{uimm}", link="1"),
+    "jr": Semantics("jump", "r[{rs1}]"),
+    "jalr": Semantics("jump", "r[{rs1}]", link="{rd}"),
+}
+
+#: the effective address of every load/store
+ADDRESS = "(r[{rs1}] + {imm}) & {M}"
+
+
+def semantics(instr: Instruction) -> Semantics:
+    """The table entry for ``instr`` (the oracle's error when missing)."""
+    try:
+        return SEMANTICS[instr.mnemonic]
+    except KeyError:
+        raise SimulationError(
+            f"no semantics for mnemonic {instr.mnemonic!r}") from None
+
+
+#: every operand placeholder a template can use, as an expression over
+#: the instruction ``i`` (operand fields a format lacks are ``None``);
+#: ``{link}`` (the return address) depends on the instruction's address
+#: and is supplied by the caller
+OPERANDS = {"rd": "i.rd or 0", "rs1": "i.rs1 or 0", "rs2": "i.rs2 or 0",
+            "imm": "i.imm or 0", "uimm": "(i.imm or 0) & {M}",
+            "sh": "(i.imm or 0) & 31", "hi": "((i.imm or 0) << 16) & {M}",
+            "sbias": "(i.imm or 0) + {S}"}
+
+
+def _operand_reader():
+    items = ", ".join(f"{key!r}: {expr.format_map(CONSTANTS)}"
+                      for key, expr in OPERANDS.items())
+    namespace: dict = {}
+    exec(f"def operands(i):\n    return {{{items}}}\n", namespace)
+    return namespace["operands"]
+
+
+#: ``operands(instr)``: the value of every :data:`OPERANDS` placeholder
+#: for one instruction, as a dict
+operands: Callable[[Instruction], Dict[str, int]] = _operand_reader()
+
+
+def writes_rd(sem: Semantics, instr: Instruction) -> bool:
+    """Whether the template's ``r[{rd}]`` write survives the r0 rule."""
+    return bool(instr.rd) and (sem.kind in ("op", "load") or
+                               sem.link == "{rd}")
+
+
+def link_register(sem: Semantics, writes: bool) -> str:
+    """The jump's link-register template, ``""`` when compiled out."""
+    return sem.link if sem.link != "{rd}" or writes else ""
+
+
+# -- step handlers -----------------------------------------------------------
+
+class _Names(dict):
+    """Formats a template with placeholder *names*, recording which."""
+
+    def __init__(self) -> None:
+        super().__init__(CONSTANTS, link="(pc + 4) & " + CONSTANTS["M"])
+        self.used = []
+
+    def __missing__(self, key: str) -> str:
+        if key not in self.used:
+            self.used.append(key)
+        return key
+
+
+def _step_body(sem: Semantics, writes: bool, names: dict) -> str:
+    """The step handler's body for one mnemonic (r0 rule applied)."""
+    if sem.kind == "op":
+        return sem.code.format_map(names)
+    if sem.kind == "load":
+        access = ("memory.load(" + ADDRESS.format_map(names)
+                  + f", {sem.size}, {sem.signed})")
+        return ("r[{rd}] = ".format_map(names) if writes else "") + access
+    if sem.kind == "store":
+        return ("memory.store(" + ADDRESS.format_map(names)
+                + ", r[{rs2}], ".format_map(names) + f"{sem.size})")
+    if sem.kind == "branch":
+        return ("return {uimm} if ".format_map(names)
+                + sem.code.format_map(names) + " else None")
+    if sem.kind == "jump":
+        target = sem.code.format_map(names)
+        link = link_register(sem, writes)
+        if not link:
+            return "return " + target
+        # the target is read before the link write (jalr rd == rs1)
+        return (f"x = {target}\n"
+                f"r[{link.format_map(names)}] = {names['link']}\n"
+                "return x")
+    return f"return {HALT}"
+
+
+def _factory_source(name: str, sem: Semantics, writes: bool) -> str:
+    """A factory taking the instruction and binding the operands its
+    template uses as the handler's default arguments."""
+    names = _Names()
+    body = _step_body(sem, writes, names)
+    defaults = "".join(f", {p}={OPERANDS[p].format_map(CONSTANTS)}"
+                       for p in names.used)
+    lines = [f"def {name}(i):",
+             f"    def run(r, memory, pc{defaults}):"]
+    lines.extend("        " + line for line in body.splitlines())
+    lines.append("    return run")
+    return "\n".join(lines)
+
+
+#: (semantics, writes rd) -> handler factory
+_FACTORIES: Dict[Tuple[Semantics, bool], Callable[[Instruction], Handler]] = {}
+
+
+def _build_factories(variants) -> None:
+    """Generate the step-handler factories of ``variants`` in one exec."""
+    sources, names = [], []
+    for index, (sem, writes) in enumerate(variants):
+        name = f"_factory{index}"
+        sources.append(_factory_source(name, sem, writes))
+        names.append(name)
+    namespace: dict = {}
+    exec(compile("\n\n".join(sources) + "\n", "<step-factories>", "exec"),
+         namespace)
+    for variant, name in zip(variants, names):
+        _FACTORIES[variant] = namespace[name]
+
+
+def _variants(sem: Semantics):
+    """The (sem, writes) pairs that need a factory (r0 ops need none)."""
+    if sem.kind == "op":
+        return [(sem, True)] if sem.code else []
+    if sem.kind == "load" or sem.link == "{rd}":
+        return [(sem, True), (sem, False)]
+    return [(sem, False)]
+
+
+_build_factories([v for sem in dict.fromkeys(SEMANTICS.values())
+                  for v in _variants(sem)])
+
 
 def _run_nop(regs, memory, pc):
     return None
 
 
-def _run_halt(regs, memory, pc):
-    return HALT
-
-
-def _c_nop(i: Instruction) -> Handler:
-    return _run_nop
-
-
-def _c_halt(i: Instruction) -> Handler:
-    return _run_halt
-
-
-def _c_add(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
+def compile_step(instr: Instruction) -> Handler:
+    """Compile one instruction into its specialized step handler."""
+    sem = semantics(instr)
+    writes = writes_rd(sem, instr)
+    if sem.kind == "op" and not (writes and sem.code):
         return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] + regs[b]) & M
-        return None
-    return run
-
-
-def _c_sub(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] - regs[b]) & M
-        return None
-    return run
-
-
-def _c_and(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] & regs[b]
-        return None
-    return run
-
-
-def _c_or(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] | regs[b]
-        return None
-    return run
-
-
-def _c_xor(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] ^ regs[b]
-        return None
-    return run
-
-
-def _c_sll(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] << (regs[b] & 31)) & M
-        return None
-    return run
-
-
-def _c_srl(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = regs[a] >> (regs[b] & 31)
-        return None
-    return run
-
-
-def _c_sra(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32, S=SIGN_BIT):
-        v = regs[a]
-        if v & S:
-            v -= 0x100000000
-        regs[rd] = (v >> (regs[b] & 31)) & M
-        return None
-    return run
-
-
-def _c_mul(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32):
-        regs[rd] = (regs[a] * regs[b]) & M
-        return None
-    return run
-
-
-def _c_div(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32, S=SIGN_BIT):
-        divisor = regs[b]
-        if divisor & S:
-            divisor -= 0x100000000
-        if rd:
-            if divisor == 0:
-                regs[rd] = M
-            else:
-                dividend = regs[a]
-                if dividend & S:
-                    dividend -= 0x100000000
-                quotient = abs(dividend) // abs(divisor)
-                if (dividend < 0) != (divisor < 0):
-                    quotient = -quotient
-                regs[rd] = quotient & M
-        return None
-    return run
-
-
-def _c_rem(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, M=MASK32, S=SIGN_BIT):
-        divisor = regs[b]
-        if divisor & S:
-            divisor -= 0x100000000
-        if rd:
-            if divisor == 0:
-                regs[rd] = regs[a]
-            else:
-                dividend = regs[a]
-                if dividend & S:
-                    dividend -= 0x100000000
-                quotient = abs(dividend) // abs(divisor)
-                if (dividend < 0) != (divisor < 0):
-                    quotient = -quotient
-                regs[rd] = (dividend - divisor * quotient) & M
-        return None
-    return run
-
-
-def _c_slt(i):
-    # signed compare via sign-bit bias: (x ^ 0x80000000) orders unsigned
-    # 32-bit values exactly like to_signed(x) orders them signed
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b, S=SIGN_BIT):
-        regs[rd] = 1 if (regs[a] ^ S) < (regs[b] ^ S) else 0
-        return None
-    return run
-
-
-def _c_sltu(i):
-    rd, a, b = i.rd, i.rs1, i.rs2
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, b=b):
-        regs[rd] = 1 if regs[a] < regs[b] else 0
-        return None
-    return run
-
-
-def _c_addi(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] + imm) & M
-        return None
-    return run
-
-
-def _c_andi(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] & imm) & M
-        return None
-    return run
-
-
-def _c_ori(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] | imm) & M
-        return None
-    return run
-
-
-def _c_xori(i):
-    rd, a, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, imm=imm, M=MASK32):
-        regs[rd] = (regs[a] ^ imm) & M
-        return None
-    return run
-
-
-def _c_slli(i):
-    rd, a, sh = i.rd, i.rs1, i.imm & 31
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, sh=sh, M=MASK32):
-        regs[rd] = (regs[a] << sh) & M
-        return None
-    return run
-
-
-def _c_srli(i):
-    rd, a, sh = i.rd, i.rs1, i.imm & 31
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, sh=sh):
-        regs[rd] = regs[a] >> sh
-        return None
-    return run
-
-
-def _c_srai(i):
-    rd, a, sh = i.rd, i.rs1, i.imm & 31
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, sh=sh, M=MASK32, S=SIGN_BIT):
-        v = regs[a]
-        if v & S:
-            v -= 0x100000000
-        regs[rd] = (v >> sh) & M
-        return None
-    return run
-
-
-def _c_slti(i):
-    rd, a = i.rd, i.rs1
-    biased = (i.imm + SIGN_BIT)  # exact: Python ints don't wrap
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, biased=biased, S=SIGN_BIT):
-        regs[rd] = 1 if (regs[a] ^ S) < biased else 0
-        return None
-    return run
-
-
-def _c_sltiu(i):
-    rd, a, cmp = i.rd, i.rs1, i.imm & MASK32
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, a=a, cmp=cmp):
-        regs[rd] = 1 if regs[a] < cmp else 0
-        return None
-    return run
-
-
-def _c_lui(i):
-    rd, value = i.rd, (i.imm << 16) & MASK32
-    if rd == 0:
-        return _run_nop
-
-    def run(regs, memory, pc, rd=rd, value=value):
-        regs[rd] = value
-        return None
-    return run
-
-
-def _c_load(size: int, signed: bool):
-    def compiler(i):
-        rd, base, off = i.rd, i.rs1, i.imm
-
-        def run(regs, memory, pc, rd=rd, base=base, off=off,
-                size=size, signed=signed, M=MASK32):
-            # the access must happen even for rd == r0: bus errors and
-            # MMIO loads trap exactly like the oracle
-            value = memory.load((regs[base] + off) & M, size, signed)
-            if rd:
-                regs[rd] = value
-            return None
-        return run
-    return compiler
-
-
-def _c_store(size: int):
-    def compiler(i):
-        data, base, off = i.rs2, i.rs1, i.imm
-
-        def run(regs, memory, pc, data=data, base=base, off=off,
-                size=size, M=MASK32):
-            memory.store((regs[base] + off) & M, regs[data], size)
-            return None
-        return run
-    return compiler
-
-
-def _c_beq(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] == regs[b] else None
-    return run
-
-
-def _c_bne(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] != regs[b] else None
-    return run
-
-
-def _c_blt(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target, S=SIGN_BIT):
-        return target if (regs[a] ^ S) < (regs[b] ^ S) else None
-    return run
-
-
-def _c_bge(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target, S=SIGN_BIT):
-        return target if (regs[a] ^ S) >= (regs[b] ^ S) else None
-    return run
-
-
-def _c_bltu(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] < regs[b] else None
-    return run
-
-
-def _c_bgeu(i):
-    a, b, target = i.rs1, i.rs2, i.imm & MASK32
-
-    def run(regs, memory, pc, a=a, b=b, target=target):
-        return target if regs[a] >= regs[b] else None
-    return run
-
-
-def _c_jmp(i):
-    target = i.imm & MASK32
-
-    def run(regs, memory, pc, target=target):
-        return target
-    return run
-
-
-def _c_call(i):
-    target = i.imm & MASK32
-
-    def run(regs, memory, pc, target=target, M=MASK32):
-        regs[1] = (pc + 4) & M  # RA
-        return target
-    return run
-
-
-def _c_jr(i):
-    a = i.rs1
-
-    def run(regs, memory, pc, a=a):
-        return regs[a]
-    return run
-
-
-def _c_jalr(i):
-    rd, a = i.rd, i.rs1
-
-    def run(regs, memory, pc, rd=rd, a=a, M=MASK32):
-        # target is read before the link write (jalr rd == rs1)
-        target = regs[a]
-        if rd:
-            regs[rd] = (pc + 4) & M
-        return target
-    return run
-
-
-#: the per-mnemonic dispatch table: consulted once per decoded
-#: instruction, never on the hot path
-COMPILERS: Dict[str, Callable[[Instruction], Handler]] = {
-    "nop": _c_nop, "halt": _c_halt,
-    "add": _c_add, "sub": _c_sub, "and": _c_and, "or": _c_or,
-    "xor": _c_xor, "sll": _c_sll, "srl": _c_srl, "sra": _c_sra,
-    "mul": _c_mul, "div": _c_div, "rem": _c_rem,
-    "slt": _c_slt, "sltu": _c_sltu,
-    "addi": _c_addi, "andi": _c_andi, "ori": _c_ori, "xori": _c_xori,
-    "slli": _c_slli, "srli": _c_srli, "srai": _c_srai,
-    "slti": _c_slti, "sltiu": _c_sltiu, "lui": _c_lui,
-    "lw": _c_load(4, False), "lh": _c_load(2, True),
-    "lhu": _c_load(2, False), "lb": _c_load(1, True),
-    "lbu": _c_load(1, False),
-    "sw": _c_store(4), "sh": _c_store(2), "sb": _c_store(1),
-    "beq": _c_beq, "bne": _c_bne, "blt": _c_blt, "bge": _c_bge,
-    "bltu": _c_bltu, "bgeu": _c_bgeu,
-    "jmp": _c_jmp, "call": _c_call, "jr": _c_jr, "jalr": _c_jalr,
-}
-
-
-def compile_handler(instr: Instruction) -> Handler:
-    """Compile one instruction into its specialized handler."""
-    try:
-        compiler = COMPILERS[instr.mnemonic]
-    except KeyError:
-        raise SimulationError(
-            f"no semantics for mnemonic {instr.mnemonic!r}") from None
-    return compiler(instr)
-
-
-#: predecoded step:
+    factory = _FACTORIES.get((sem, writes))
+    if factory is None:
+        # a table entry replaced at run time (e.g. a planted bug in a
+        # differential test) gets its factory on first use
+        _build_factories([(sem, writes)])
+        factory = _FACTORIES[(sem, writes)]
+    return factory(instr)
+
+
+#: vanilla interpreter step:
 #: (handler, cycles_not_taken, cycles_taken, is_store, instruction).
 #: ``is_store`` gates the MMIO-exit poll: only a store can set the exit
 #: register, so every other step skips the device read entirely.
-PredecodedStep = Tuple[Handler, int, int, bool, Instruction]
+Step = Tuple[Handler, int, int, bool, Instruction]
 
 
-def predecode(instr: Instruction, timing: TimingParams) -> PredecodedStep:
+def predecode(instr: Instruction, timing: TimingParams) -> Step:
     """Compile an instruction and precompute both cycle costs."""
     seq, taken = cycle_costs(instr, timing)
-    return (compile_handler(instr), seq, taken, instr.spec.is_store, instr)
+    return (compile_step(instr), seq, taken, instr.spec.is_store, instr)
 
 
 #: step kinds for the SOFIA inner loop: what a committed step can do
@@ -554,7 +361,7 @@ KIND_STORE = 1   # may write the MMIO exit register
 KIND_CTI = 2     # ends the block: branch / jump / call / indirect
 KIND_HALT = 3    # handler returns HALT
 
-#: predecoded SOFIA payload slot:
+#: SOFIA interpreter step, one per payload slot:
 #: (handler, cycles_not_taken, cycles_taken, kind, address, instruction)
 BlockStep = Tuple[Handler, int, int, int, int, Instruction]
 
@@ -579,7 +386,7 @@ def predecode_payload(payload, timing: TimingParams) -> Tuple[BlockStep, ...]:
     steps = []
     for instr, address, _slot in payload:
         seq, taken = cycle_costs(instr, timing)
-        steps.append((compile_handler(instr), seq, taken,
+        steps.append((compile_step(instr), seq, taken,
                       step_kind(instr), address, instr))
     return tuple(steps)
 

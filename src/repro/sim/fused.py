@@ -1,26 +1,28 @@
-"""Fused-superblock execution engine: one compiled call per straight-line run.
+"""Run compilers of the fused engine: one compiled call per straight-line run.
 
-The predecoded engine (:mod:`repro.sim.engine`) removed per-step re-decoding
-but still pays one Python closure call, one tuple unpack and one kind/store
-check **per instruction**.  This module removes that too: each straight-line
-run — a SOFIA ``_VerifiedBlock`` payload, or the vanilla per-PC chain up to
-and including the next CTI / store / halt — is *source-compiled* into a
-single specialized Python function.  The same operand/immediate constant
-binding ``engine.py`` does per instruction is inlined into one body, cycle
+Stepping handlers (:func:`repro.sim.engine.compile_step`) still pays one
+Python call, one tuple unpack and one kind/store check **per
+instruction**.  Once a straight-line run is hot — a SOFIA
+``_VerifiedBlock`` payload, or a vanilla chain up to and including the
+next CTI / store / halt — this module source-compiles it into a single
+specialized Python function: the :data:`~repro.sim.engine.SEMANTICS`
+templates are formatted with literal operands and concatenated, cycle
 costs are folded into compile-time run constants, and the I-cache tag
-checks collapse to one literal comparison per cache line.
+checks collapse to one literal comparison per cache line.  Until then
+the machines interpret the run with step handlers; a run is compiled
+when it has been entered :data:`COMPILE_THRESHOLD` times.
 
 Run-handler contract
 --------------------
-A SOFIA block handler is called as ``fn(regs, load, store, mmio, tags)``
-(plus ``hook`` for the traced variant) and returns a 7-tuple
-``(n, cycles, hits, miss_runs, mac_cycles, next_key, arg)``:
+A SOFIA block handler is called as ``fn(regs, load, store, mmio, tags,
+ram)`` and returns a 7-tuple ``(n, cycles, hits, miss_runs, mac_cycles,
+next_key, arg)``:
 
 * ``n``          — instructions committed (the k-th trap commits exactly k);
 * ``cycles``     — ``max(fetch_cycles, exec_cycles)`` for the whole block,
-  the bottleneck model of ``SofiaMachine._run_predecoded`` verbatim.  The
-  possible values are a *compile-time constant tuple* indexed by the miss
-  count, so the hot path does no cycle arithmetic at all;
+  the block-level bottleneck model.  The possible values are a
+  *compile-time constant tuple* indexed by the miss count, so the hot
+  path does no cycle arithmetic at all;
 * ``hits``/``miss_runs`` — I-cache accounting (``hits = n_fetch - mr``);
 * ``mac_cycles`` — the block's constant seal-fetch charge;
 * ``next_key``   — the next block-cache edge ``(prev_pc, pc)`` or ``None``
@@ -28,12 +30,17 @@ A SOFIA block handler is called as ``fn(regs, load, store, mmio, tags)``
   tuples baked at compile time, so the driving loop allocates nothing;
 * ``arg``        — ``None`` while running, else the terminal
   ``(code, payload)``: 2 halt, 3 MMIO exit, 4 trap (payload is the
-  reason), 5 reset (payload is the violation; the block never verified
-  and only fetch slots were charged).
+  reason).  Blocks that failed verification are never compiled: they
+  reset the machine, so no run enters them twice.
 
 A vanilla run handler returns ``(n, cycles, hits, misses, code, arg)`` with
 per-instruction ``max(fetch, exec)`` charging and code 1 continue-at-`arg`,
 2 halt, 3 exit, 4 trap.
+
+Compiled handlers poll the MMIO exit register only after stores, so the
+machines call them only when no ``on_commit`` hook is installed and the
+register was clear when the run started; otherwise every run stays
+interpreted.
 
 Trap equivalence
 ----------------
@@ -43,73 +50,72 @@ Every memory access is therefore wrapped in its own ``try`` whose handler
 returns the run-constants of the first k instructions: cycles are summed as
 compile-time constants per prefix (the trapping instruction's execution
 cycles are *not* charged, its fetch *is* tag-checked and counted, and a
-line fill it triggered stands — all exactly like the predecoded loop).
+line fill it triggered stands — all exactly like the stepped loop).
 Register writes are in-place on the shared ``regs`` list, so the committed
 prefix needs no replay.
 
-Self-modifying code invalidates fused handlers exactly like predecoded
-steps: SOFIA handlers live on the ``_VerifiedBlock`` (dies with the block
-memo on any code write), vanilla handlers live in per-start-PC dicts popped
-by the same code-write listener.  Stores always terminate a vanilla run, so
-a code write can never outrun its own compiled suffix.
+Self-modifying code invalidates fused handlers exactly like step
+handlers: SOFIA handlers live on the ``_VerifiedBlock`` (dies with the
+block memo on any code write), vanilla handlers live in per-start-PC runs
+popped by the same code-write listener.  Stores always terminate a
+vanilla run, so a code write can never outrun its own compiled suffix.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Sequence
 
-from ..errors import DecodingError, SimulationError
+from ..errors import SimulationError
 from ..isa.instructions import Instruction
-from .engine import MASK32, compile_fetch_runs
+from .engine import (ADDRESS, CONSTANTS, MASK32, compile_fetch_runs,
+                     link_register, operands, semantics, writes_rd)
 from .timing import TimingParams, cycle_costs
 
 #: vanilla straight-line runs are capped so a single compile stays small
-#: and the budget-boundary tail (delegated back to the predecoded loop)
-#: stays short
 MAX_RUN = 64
 
-#: a SOFIA edge is interpreted (predecoded hot-tuple stepping) this many
-#: traversals before its block is source-compiled: a CPython compile costs
-#: on the order of 100 µs while a fused traversal only saves a couple of
-#: µs over an interpreted one, so compiling pays off only for genuinely
-#: hot blocks — warm-up traversals run at predecoded speed regardless
+#: a run is interpreted with step handlers this many entries before it is
+#: source-compiled: a CPython compile costs a few hundred µs while a fused
+#: traversal only saves a couple of µs over an interpreted one, so
+#: compiling pays off only for genuinely hot runs and one-shot code never
+#: compiles at all
 COMPILE_THRESHOLD = 16
 
-_M = "4294967295"       # MASK32 literal
-_S = "2147483648"       # SIGN_BIT literal
 
-_LOADS = {"lw": (4, False), "lh": (2, True), "lhu": (2, False),
-          "lb": (1, True), "lbu": (1, False)}
-_STORES = {"sw": 4, "sh": 2, "sb": 1}
-_BRANCHES = {"beq", "bne", "blt", "bge", "bltu", "bgeu"}
-
-
-def _sdiv(x: int, y: int) -> int:
-    """32-bit signed division, semantics of ``engine._c_div`` verbatim."""
-    if y >= 0x80000000:
-        y -= 0x100000000
-    if y == 0:
-        return 0xFFFFFFFF
-    if x >= 0x80000000:
-        x -= 0x100000000
-    quotient = abs(x) // abs(y)
-    if (x < 0) != (y < 0):
-        quotient = -quotient
-    return quotient & 0xFFFFFFFF
+def _literals(instr: Instruction, address: int) -> dict:
+    """Template placeholder values of one instruction, as literals."""
+    values = {key: str(value) for key, value in operands(instr).items()}
+    values.update(CONSTANTS, link=str((address + 4) & MASK32))
+    return values
 
 
-def _srem(x: int, y: int) -> int:
-    """32-bit signed remainder, semantics of ``engine._c_rem`` verbatim."""
-    if y >= 0x80000000:
-        y -= 0x100000000
-    if y == 0:
-        return x
-    if x >= 0x80000000:
-        x -= 0x100000000
-    quotient = abs(x) // abs(y)
-    if (x < 0) != (y < 0):
-        quotient = -quotient
-    return (x - y * quotient) & 0xFFFFFFFF
+def _op_statements(instr: Instruction, address: int) -> List[str]:
+    """Statements for one ``op``-kind instruction (r0 writes dropped)."""
+    sem = semantics(instr)
+    if not writes_rd(sem, instr):
+        return []
+    return sem.code.format_map(_literals(instr, address)).splitlines()
+
+
+def _jump_source(instr: Instruction, address: int):
+    """``(statements, target)`` of a jump; the target is a literal or
+    ``t`` (read before the link write, for ``jalr rd == rs1``)."""
+    sem = semantics(instr)
+    values = _literals(instr, address)
+    target = sem.code.format_map(values)
+    out = []
+    if not target.isdigit():
+        out.append(f"t = {target}")
+        target = "t"
+    link = link_register(sem, writes_rd(sem, instr))
+    if link:
+        out.append(f"r[{link.format_map(values)}] = {values['link']}")
+    return out, target
+
+
+def _ram(k: int) -> str:
+    """The k-th byte of the big-endian RAM access at offset ``o``."""
+    return f"ram[o + {k}]" if k else "ram[o]"
 
 
 def _mem_source(instr: Instruction, data_base: int, ram_size: int):
@@ -121,172 +127,67 @@ def _mem_source(instr: Instruction, data_base: int, ram_size: int):
     body, and the fallback call into the memory system (MMIO, code reads,
     traps).  Only the ``slow`` call can raise.  With a shadowed RAM
     window (``ram_size < 0``) the guard is constant-false and ``cond`` is
-    ``None`` — the caller emits the fallback alone, exactly the predecoded
-    behaviour.  Register values are already 32-bit masked, so ``imm == 0``
-    addresses skip the mask.
+    ``None`` — the caller emits the fallback alone.  Register values are
+    already 32-bit masked, so ``imm == 0`` addresses skip the mask.
     """
-    m = instr.mnemonic
-    rd, a, b, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-    pre = [f"a = r[{a}]" if imm == 0
-           else f"a = (r[{a}] + {imm}) & {_M}"]
-    if m in _LOADS:
-        size, signed = _LOADS[m]
-        slow = [f"r[{rd}] = ld(a, {size}, {signed})" if rd
-                else f"ld(a, {size}, {signed})"]
-        if ram_size < 0:
-            return pre, None, [], slow
-        pre.append(f"o = a - {data_base}")
-        align = "" if size == 1 else f"not (a & {size - 1}) and "
-        cond = f"{align}0 <= o <= {ram_size - size}"
-        if not rd:
-            # r0 loads keep their trap/MMIO effects; an in-RAM read is
-            # side-effect-free, so the fast path is a no-op
-            return pre, cond, ["pass"], slow
-        if m == "lbu":
-            fast = [f"r[{rd}] = ram[o]"]
-        elif m == "lb":
-            fast = ["v = ram[o]",
-                    f"r[{rd}] = v + 4294967040 if v & 128 else v"]
-        elif m == "lhu":
-            fast = [f"r[{rd}] = (ram[o] << 8) | ram[o + 1]"]
-        elif m == "lh":
-            fast = ["v = (ram[o] << 8) | ram[o + 1]",
-                    f"r[{rd}] = v + 4294901760 if v & 32768 else v"]
-        else:
-            fast = [f"r[{rd}] = (ram[o] << 24) | (ram[o + 1] << 16) | "
-                    "(ram[o + 2] << 8) | ram[o + 3]"]
-        return pre, cond, fast, slow
-    size = _STORES[m]
-    slow = [f"st(a, r[{b}], {size})"]
+    sem = semantics(instr)
+    ops = operands(instr)
+    size, rd, b = sem.size, ops["rd"], ops["rs2"]
+    pre = [f"a = r[{ops['rs1']}]" if ops["imm"] == 0
+           else "a = " + ADDRESS.format_map(_literals(instr, 0))]
+    if sem.kind == "load":
+        slow = [f"r[{rd}] = ld(a, {size}, {sem.signed})" if rd
+                else f"ld(a, {size}, {sem.signed})"]
+    else:
+        slow = [f"st(a, r[{b}], {size})"]
     if ram_size < 0:
         return pre, None, [], slow
     pre.append(f"o = a - {data_base}")
     align = "" if size == 1 else f"not (a & {size - 1}) and "
     cond = f"{align}0 <= o <= {ram_size - size}"
-    if m == "sb":
-        fast = [f"ram[o] = r[{b}] & 255"]
-    elif m == "sh":
-        fast = [f"v = r[{b}]",
-                "ram[o] = (v >> 8) & 255",
-                "ram[o + 1] = v & 255"]
-    else:
-        fast = [f"v = r[{b}]",
-                "ram[o] = v >> 24",
-                "ram[o + 1] = (v >> 16) & 255",
-                "ram[o + 2] = (v >> 8) & 255",
-                "ram[o + 3] = v & 255"]
+    if sem.kind == "load":
+        if not rd:
+            # r0 loads keep their trap/MMIO effects; an in-RAM read is
+            # side-effect-free, so the fast path is a no-op
+            return pre, cond, ["pass"], slow
+        value = " | ".join(
+            f"({_ram(k)} << {8 * (size - 1 - k)})" if k < size - 1
+            else _ram(k) for k in range(size))
+        if sem.signed and size < 4:
+            sign = 1 << (8 * size - 1)
+            extend = (1 << 32) - (1 << (8 * size))
+            fast = [f"v = {value}",
+                    f"r[{rd}] = v + {extend} if v & {sign} else v"]
+        else:
+            fast = [f"r[{rd}] = {value}"]
+        return pre, cond, fast, slow
+    fast = [f"v = r[{b}]"]
+    fast.extend(f"{_ram(k)} = (v >> {8 * (size - 1 - k)}) & 255"
+                if k < size - 1 else f"{_ram(k)} = v & 255"
+                for k in range(size))
     return pre, cond, fast, slow
 
 
-def _op_source(instr: Instruction) -> Tuple[List[str], bool]:
-    """Statements for one non-CTI, non-halt, non-memory instruction.
-
-    Mirrors the per-mnemonic compilers in :mod:`repro.sim.engine`
-    exactly: r0 writes are compiled out.  Loads/stores go through
-    :func:`_mem_source` instead.
-    """
-    m = instr.mnemonic
-    rd, a, b, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-    if m == "nop" or rd == 0:
-        # div/rem with rd == r0 also have no architectural effect
-        return [], False
-    if m == "add":
-        return [f"r[{rd}] = (r[{a}] + r[{b}]) & {_M}"], False
-    if m == "sub":
-        return [f"r[{rd}] = (r[{a}] - r[{b}]) & {_M}"], False
-    if m == "and":
-        return [f"r[{rd}] = r[{a}] & r[{b}]"], False
-    if m == "or":
-        return [f"r[{rd}] = r[{a}] | r[{b}]"], False
-    if m == "xor":
-        return [f"r[{rd}] = r[{a}] ^ r[{b}]"], False
-    if m == "sll":
-        return [f"r[{rd}] = (r[{a}] << (r[{b}] & 31)) & {_M}"], False
-    if m == "srl":
-        return [f"r[{rd}] = r[{a}] >> (r[{b}] & 31)"], False
-    if m == "sra":
-        return [f"v = r[{a}]",
-                f"r[{rd}] = (((v - 4294967296) >> (r[{b}] & 31)) & {_M}) "
-                f"if v & {_S} else v >> (r[{b}] & 31)"], False
-    if m == "mul":
-        return [f"r[{rd}] = (r[{a}] * r[{b}]) & {_M}"], False
-    if m == "div":
-        return [f"r[{rd}] = _sdiv(r[{a}], r[{b}])"], False
-    if m == "rem":
-        return [f"r[{rd}] = _srem(r[{a}], r[{b}])"], False
-    if m == "slt":
-        return [f"r[{rd}] = 1 if (r[{a}] ^ {_S}) < (r[{b}] ^ {_S}) "
-                f"else 0"], False
-    if m == "sltu":
-        return [f"r[{rd}] = 1 if r[{a}] < r[{b}] else 0"], False
-    if m == "addi":
-        return [f"r[{rd}] = (r[{a}] + {imm}) & {_M}"], False
-    if m == "andi":
-        return [f"r[{rd}] = (r[{a}] & {imm}) & {_M}"], False
-    if m == "ori":
-        return [f"r[{rd}] = (r[{a}] | {imm}) & {_M}"], False
-    if m == "xori":
-        return [f"r[{rd}] = (r[{a}] ^ {imm}) & {_M}"], False
-    if m == "slli":
-        return [f"r[{rd}] = (r[{a}] << {imm & 31}) & {_M}"], False
-    if m == "srli":
-        return [f"r[{rd}] = r[{a}] >> {imm & 31}"], False
-    if m == "srai":
-        return [f"v = r[{a}]",
-                f"r[{rd}] = (((v - 4294967296) >> {imm & 31}) & {_M}) "
-                f"if v & {_S} else v >> {imm & 31}"], False
-    if m == "slti":
-        return [f"r[{rd}] = 1 if (r[{a}] ^ {_S}) < {imm + 0x80000000} "
-                f"else 0"], False
-    if m == "sltiu":
-        return [f"r[{rd}] = 1 if r[{a}] < {imm & MASK32} else 0"], False
-    if m == "lui":
-        return [f"r[{rd}] = {(imm << 16) & MASK32}"], False
-    raise SimulationError(f"no semantics for mnemonic {m!r}")
-
-
-def _branch_cond(instr: Instruction) -> str:
-    m = instr.mnemonic
-    a, b = instr.rs1, instr.rs2
-    if m == "beq":
-        return f"r[{a}] == r[{b}]"
-    if m == "bne":
-        return f"r[{a}] != r[{b}]"
-    if m == "blt":
-        return f"(r[{a}] ^ {_S}) < (r[{b}] ^ {_S})"
-    if m == "bge":
-        return f"(r[{a}] ^ {_S}) >= (r[{b}] ^ {_S})"
-    if m == "bltu":
-        return f"r[{a}] < r[{b}]"
-    return f"r[{a}] >= r[{b}]"
-
-
-def _compile(lines: List[str], namespace: dict):
-    source = "\n".join(lines) + "\n"
+def _compile(source: str):
+    """Compile one run's source into its handler function."""
+    namespace = {"SimulationError": SimulationError}
     exec(compile(source, "<fused-run>", "exec"), namespace)
-    fn = namespace["_fused"]
-    fn.__fused_source__ = source  # debugging / test introspection
-    return fn
+    # popped so the function does not reach itself through its globals
+    return namespace.pop("_fused")
 
 
 # -- SOFIA verified-block compiler ----------------------------------------
 
 def compile_sofia_block(block, timing: TimingParams, icache, memory,
-                        block_bytes: int, hooked: bool = False):
-    """Compile one ``_VerifiedBlock`` into a single run-handler.
+                        block_bytes: int):
+    """Compile one verified (``block.ok``) block into a run-handler.
 
-    Returns the handler function, cached on the block (the same place
-    ``_compile_hot`` memoizes predecoded steps, with the same lifetime:
-    any code write drops the block and the handler with it).  Everything
-    the driving loop needs — I-cache accounting, the seal-fetch charge,
-    the successor edge key, the terminal status — comes back in the
-    handler's return tuple; the block-level ``max(fetch, exec)``
-    bottleneck collapses to a constant tuple indexed by the miss count.
-
-    ``hooked=True`` builds the traced variant mirroring the *generic*
-    predecoded inner loop — hook after every commit, unconditional MMIO
-    exit poll — used whenever ``on_commit`` is installed or a resumed run
-    starts with the exit register already written.
+    The caller caches the handler on the block (any code write drops the
+    block and the handler with it).  Everything the driving loop needs —
+    I-cache accounting, the seal-fetch charge, the successor edge key,
+    the terminal status — comes back in the handler's return tuple; the
+    block-level ``max(fetch, exec)`` bottleneck collapses to a constant
+    tuple indexed by the miss count.
     """
     runs = compile_fetch_runs(block.fetch_addresses,
                               icache.line_bytes.bit_length() - 1,
@@ -296,22 +197,13 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
     pen = timing.icache_miss_penalty
     mc = timing.mac_word_cycles * block.mac_slots
     ft_prev = block.base + block_bytes - 4
-    ft_pc = block.base + block_bytes
-    ft_key = f"({ft_prev}, {ft_pc})"
+    ft_key = f"({ft_prev}, {block.base + block_bytes})"
     block_trap = None
     if block.decode_failure is not None:
         block_trap = ("illegal instruction in verified block: "
                       f"{block.decode_failure[1]}")
 
-    namespace = {"SimulationError": SimulationError,
-                 "_sdiv": _sdiv, "_srem": _srem,
-                 "_TRAP": block_trap, "_VIOL": block.violation}
-    out = []
-    if hooked:
-        namespace["_INSTRS"] = tuple(i for i, _, _ in block.payload)
-        out.append("def _fused(r, ld, st, mmio, tags, ram, h, _i=_INSTRS):")
-    else:
-        out.append("def _fused(r, ld, st, mmio, tags, ram):")
+    out = ["def _fused(r, ld, st, mmio, tags, ram):"]
     if len(runs) == 1:
         (index, tag, _count), = runs
         out.append(f"    if tags[{index}] != {tag}:")
@@ -326,187 +218,97 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
             out.append(f"        tags[{index}] = {tag}")
             out.append("        mr += 1")
 
-    def cyc(ec: int) -> str:
+    def ret(n: int, ec: int, key2: str, arg: str) -> str:
         # block-level bottleneck max(fetch_cycles, exec_cycles) for every
         # possible miss count, folded into one constant tuple lookup
         table = tuple(max(n_fetch + m * pen, ec)
                       for m in range(len(runs) + 1))
-        return f"{table}[mr]"
-
-    def ret(n: int, ec: int, key2: str, arg: str) -> str:
-        return (f"return ({n}, {cyc(ec)}, {n_fetch} - mr, mr, {mc}, "
+        return (f"return ({n}, {table}[mr], {n_fetch} - mr, mr, {mc}, "
                 f"{key2}, {arg})")
-
-    if not block.ok:
-        # never verified: fetch slots were charged, nothing executed
-        out.append("    " + ret(0, 0, "None", "(5, _VIOL)"))
-        return _compile(out, namespace)
-
-    def hook(indent: str, k: int, address: int) -> None:
-        out.append(f"{indent}if h is not None:")
-        out.append(f"{indent}    h({address}, _i[{k}])")
 
     ec = 0       # constant exec cycles committed so far
     count = 0    # instructions committed so far
     for instr, address, _slot in block.payload:
         seq, taken = cycle_costs(instr, timing)
-        spec = instr.spec
-        if spec.is_halt:
-            if hooked:
-                hook("    ", count, address)
-                out.append("    " + ret(count + 1, ec + taken,
-                                        "None", "(2, None)"))
-            else:
-                out.append("    " + ret(count + 1, ec + seq,
-                                        "None", "(2, None)"))
+        kind = semantics(instr).kind
+        if kind == "halt":
+            out.append("    " + ret(count + 1, ec + seq, "None", "(2, None)"))
             break
-        if spec.is_cti:
-            n = count + 1
-            if spec.is_branch:
-                cond = _branch_cond(instr)
-                target = instr.imm & MASK32
-                out.append(f"    if {cond}:")
-                if hooked:
-                    hook("        ", count, address)
-                    out.append("        if mmio.exit_code is not None:")
-                    out.append("            " + ret(n, ec + taken,
-                                                    "None", "(3, None)"))
-                out.append("        " + ret(n, ec + taken,
-                                            f"({ft_prev}, {target})",
-                                            "None"))
-                if hooked:
-                    hook("    ", count, address)
-                    out.append("    if mmio.exit_code is not None:")
-                    out.append("        " + ret(n, ec + seq,
-                                                "None", "(3, None)"))
-                out.append("    " + ret(n, ec + seq, ft_key, "None"))
-            else:
-                if spec.is_indirect:
-                    out.append(f"    t = r[{instr.rs1}]")
-                    if instr.mnemonic == "jalr" and instr.rd:
-                        out.append(f"    r[{instr.rd}] = "
-                                   f"{(address + 4) & MASK32}")
-                    key2 = f"({ft_prev}, t)"
-                else:
-                    if spec.is_call:
-                        out.append(f"    r[1] = {(address + 4) & MASK32}")
-                    key2 = f"({ft_prev}, {instr.imm & MASK32})"
-                if hooked:
-                    hook("    ", count, address)
-                    out.append("    if mmio.exit_code is not None:")
-                    out.append("        " + ret(n, ec + taken,
-                                                "None", "(3, None)"))
-                out.append("    " + ret(n, ec + taken, key2, "None"))
+        if kind == "branch":
+            values = _literals(instr, address)
+            cond = semantics(instr).code.format_map(values)
+            out.append(f"    if {cond}:")
+            out.append("        " + ret(count + 1, ec + taken,
+                                        f"({ft_prev}, {values['uimm']})",
+                                        "None"))
+            out.append("    " + ret(count + 1, ec + seq, ft_key, "None"))
             break
-        if spec.is_load or spec.is_store:
+        if kind == "jump":
+            stmts, target = _jump_source(instr, address)
+            out.extend("    " + stmt for stmt in stmts)
+            out.append("    " + ret(count + 1, ec + taken,
+                                    f"({ft_prev}, {target})", "None"))
+            break
+        if kind == "op":
+            out.extend("    " + stmt
+                       for stmt in _op_statements(instr, address))
+        else:
             pre, cond, fast, slow = _mem_source(instr, memory.data_base,
                                                 memory._ram_size)
             trap_ret = ret(count, ec, "None", "(4, str(e))")
-            for stmt in pre:
-                out.append("    " + stmt)
-            if cond is None:
-                out.append("    try:")
-                for stmt in slow:
-                    out.append("        " + stmt)
-                out.append("    except SimulationError as e:")
-                out.append("        " + trap_ret)
-                if not hooked and spec.is_store:
-                    out.append("    if mmio.exit_code is not None:")
-                    out.append("        " + ret(count + 1, ec + seq,
-                                                "None", "(3, None)"))
-            else:
+            out.extend("    " + stmt for stmt in pre)
+            indent = "    "
+            if cond is not None:
                 out.append(f"    if {cond}:")
-                for stmt in fast:
-                    out.append("        " + stmt)
+                out.extend("        " + stmt for stmt in fast)
                 out.append("    else:")
-                out.append("        try:")
-                for stmt in slow:
-                    out.append("            " + stmt)
-                out.append("        except SimulationError as e:")
-                out.append("            " + trap_ret)
-                if not hooked and spec.is_store:
-                    # an in-RAM store can never flip the exit register,
-                    # so the fast path needs no poll (the non-hooked loop
-                    # only runs with the register clear)
-                    out.append("        if mmio.exit_code is not None:")
-                    out.append("            " + ret(count + 1, ec + seq,
-                                                    "None", "(3, None)"))
-        else:
-            stmts, _ = _op_source(instr)
-            for stmt in stmts:
-                out.append("    " + stmt)
-        if hooked:
-            hook("    ", count, address)
-            out.append("    if mmio.exit_code is not None:")
-            out.append("        " + ret(count + 1, ec + seq,
-                                        "None", "(3, None)"))
+                indent = "        "
+            out.append(indent + "try:")
+            out.extend(indent + "    " + stmt for stmt in slow)
+            out.append(indent + "except SimulationError as e:")
+            out.append(indent + "    " + trap_ret)
+            if kind == "store":
+                # an in-RAM store can never flip the exit register, so
+                # only the slow path polls it
+                out.append(indent + "if mmio.exit_code is not None:")
+                out.append(indent + "    " + ret(count + 1, ec + seq,
+                                                 "None", "(3, None)"))
         ec += seq
         count += 1
     else:
         # ran off the payload end: sequential fall-through, or the
         # decode-failure trap when decode stopped short of a terminator
         if block_trap is not None:
-            out.append("    " + ret(count, ec, "None", "(4, _TRAP)"))
+            out.append("    " + ret(count, ec, "None",
+                                    f"(4, {block_trap!r})"))
         else:
             out.append("    " + ret(count, ec, ft_key, "None"))
 
-    return _compile(out, namespace)
+    return _compile("\n".join(out) + "\n")
 
 
 # -- vanilla straight-line-run compiler -----------------------------------
 
-def compile_vanilla_run(machine, start_pc: int,
-                        hooked: bool = False) -> tuple:
-    """Walk the per-PC chain at ``start_pc`` and compile it into one call.
+def compile_vanilla_run(instrs: Sequence[Instruction], start_pc: int,
+                        timing: TimingParams, icache, memory):
+    """Compile the decoded straight-line run at ``start_pc`` into one call.
 
-    The run covers consecutive PCs up to and *including* the first CTI,
-    store or halt (stores terminate runs so self-modifying code can never
-    execute a stale compiled suffix), capped at :data:`MAX_RUN`.  A decode
-    or fetch fault *past* the first instruction truncates the run — the
-    faulting PC becomes its own (trapping) run, preserving the predecoded
-    loop's exact trap point and reason.
-
-    Returns ``(fn, n_max, covered_addresses)``; when the first fetch/decode
-    itself faults, ``(None, trap_reason, (start_pc,))``.
+    ``instrs`` are the run's instructions at consecutive PCs, ending with
+    the first CTI, store or halt unless the run was capped at
+    :data:`MAX_RUN` or truncated before a PC whose fetch/decode faults.
     """
-    timing = machine.timing
-    icache = machine.icache
-    instrs: List[Instruction] = []
-    pc = start_pc
-    while len(instrs) < MAX_RUN:
-        try:
-            instr = machine._fetch_decode(pc)
-        except (DecodingError, SimulationError) as exc:
-            if not instrs:
-                return (None, str(exc), (start_pc,))
-            break
-        instrs.append(instr)
-        spec = instr.spec
-        if spec.is_cti or spec.is_halt or spec.is_store:
-            break
-        pc += 4
-
     n = len(instrs)
-    covered = tuple(start_pc + 4 * k for k in range(n))
     line_shift = icache.line_bytes.bit_length() - 1
     lines_mask = icache.lines - 1
     lines_shift = icache.lines.bit_length() - 1
     pen = timing.icache_miss_penalty
-    # unmasked on purpose: the predecoded loop advances ``pc += 4`` without
+    # unmasked on purpose: the stepped loop advances ``pc += 4`` without
     # wrapping, and bit-identity beats tidiness
     next_pc = start_pc + 4 * n
 
-    namespace = {"SimulationError": SimulationError,
-                 "_sdiv": _sdiv, "_srem": _srem}
-    memory = machine.memory
-    out = []
-    if hooked:
-        namespace["_INSTRS"] = tuple(instrs)
-        out.append("def _fused(r, ld, st, mmio, tags, ram, h, _i=_INSTRS):")
-    else:
-        out.append("def _fused(r, ld, st, mmio, tags, ram):")
-    out.append("    mr = 0")
-    out.append("    xc = 0")
+    out = ["def _fused(r, ld, st, mmio, tags, ram):",
+           "    mr = 0",
+           "    xc = 0"]
 
     def charge(base: int, flag_extra: int = 0) -> str:
         expr = "xc" if base == 0 else f"{base} + xc"
@@ -524,114 +326,80 @@ def compile_vanilla_run(machine, start_pc: int,
         idx = line & lines_mask
         tag = line >> lines_shift
         seq, taken = cycle_costs(instr, timing)
-        spec = instr.spec
+        kind = semantics(instr).kind
         # per-instruction bottleneck: max(fetch, exec); a hit fetches in 1
         hc_seq = seq if seq > 1 else 1
         hc_taken = taken if taken > 1 else 1
         extra_seq = max(1 + pen, seq) - hc_seq
         extra_taken = max(1 + pen, taken) - hc_taken
-        may_trap = spec.is_load or spec.is_store
+        may_trap = kind in ("load", "store")
         branch_flag = 0
         if head:
+            out.append(f"    if tags[{idx}] != {tag}:")
+            out.append(f"        tags[{idx}] = {tag}")
+            out.append("        mr += 1")
             if may_trap and extra_seq:
                 # the miss extra must not be charged if this very
                 # instruction traps (the fill itself still stands)
-                out.append(f"    if tags[{idx}] != {tag}:")
-                out.append(f"        tags[{idx}] = {tag}")
-                out.append("        mr += 1")
                 out.append(f"        m = {extra_seq}")
                 out.append("    else:")
                 out.append("        m = 0")
-            elif spec.is_branch and extra_seq != extra_taken:
+            elif kind == "branch" and extra_seq != extra_taken:
                 branch_flag = 1
-                out.append(f"    if tags[{idx}] != {tag}:")
-                out.append(f"        tags[{idx}] = {tag}")
-                out.append("        mr += 1")
                 out.append("        m = 1")
                 out.append("    else:")
                 out.append("        m = 0")
             else:
-                extra = extra_taken if (spec.is_cti or spec.is_halt) \
+                extra = extra_taken if kind in ("branch", "jump", "halt") \
                     else extra_seq
-                out.append(f"    if tags[{idx}] != {tag}:")
-                out.append(f"        tags[{idx}] = {tag}")
-                out.append("        mr += 1")
                 if extra:
                     out.append(f"        xc += {extra}")
 
-        if spec.is_halt:
-            if hooked:
-                out.append(f"    h({address}, _i[{k}])")
+        if kind == "halt":
             out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
                        f"{n} - mr, mr, 2, None)")
             break
-        if spec.is_cti:
-            if spec.is_branch:
-                cond = _branch_cond(instr)
-                target = instr.imm & MASK32
-                taken_charge = charge(
-                    cyc + hc_taken,
-                    extra_taken if branch_flag else 0)
-                seq_charge = charge(
-                    cyc + hc_seq, extra_seq if branch_flag else 0)
-                out.append(f"    if {cond}:")
-                if hooked:
-                    out.append(f"        h({address}, _i[{k}])")
-                out.append(f"        return ({n}, {taken_charge}, "
-                           f"{n} - mr, mr, 1, {target})")
-                if hooked:
-                    out.append(f"    h({address}, _i[{k}])")
-                out.append(f"    return ({n}, {seq_charge}, "
-                           f"{n} - mr, mr, 1, {next_pc})")
-            else:
-                if spec.is_indirect:
-                    out.append(f"    t = r[{instr.rs1}]")
-                    if instr.mnemonic == "jalr" and instr.rd:
-                        out.append(f"    r[{instr.rd}] = "
-                                   f"{(address + 4) & MASK32}")
-                    target = "t"
-                else:
-                    if spec.is_call:
-                        out.append(f"    r[1] = {(address + 4) & MASK32}")
-                    target = str(instr.imm & MASK32)
-                if hooked:
-                    out.append(f"    h({address}, _i[{k}])")
-                out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
-                           f"{n} - mr, mr, 1, {target})")
+        if kind == "branch":
+            values = _literals(instr, address)
+            cond = semantics(instr).code.format_map(values)
+            taken_charge = charge(cyc + hc_taken,
+                                  extra_taken if branch_flag else 0)
+            seq_charge = charge(cyc + hc_seq, extra_seq if branch_flag else 0)
+            out.append(f"    if {cond}:")
+            out.append(f"        return ({n}, {taken_charge}, "
+                       f"{n} - mr, mr, 1, {values['uimm']})")
+            out.append(f"    return ({n}, {seq_charge}, "
+                       f"{n} - mr, mr, 1, {next_pc})")
+            break
+        if kind == "jump":
+            stmts, target = _jump_source(instr, address)
+            out.extend("    " + stmt for stmt in stmts)
+            out.append(f"    return ({n}, {charge(cyc + hc_taken)}, "
+                       f"{n} - mr, mr, 1, {target})")
             break
         if may_trap:
             pre, cond, fast, slow = _mem_source(instr, memory.data_base,
                                                 memory._ram_size)
             trap_ret = (f"return ({k}, {charge(cyc)}, "
                         f"{k + 1} - mr, mr, 4, str(e))")
-            for stmt in pre:
-                out.append("    " + stmt)
-            if cond is None:
-                out.append("    try:")
-                for stmt in slow:
-                    out.append("        " + stmt)
-                out.append("    except SimulationError as e:")
-                out.append("        " + trap_ret)
-            else:
+            out.extend("    " + stmt for stmt in pre)
+            indent = "    "
+            if cond is not None:
                 out.append(f"    if {cond}:")
-                for stmt in fast:
-                    out.append("        " + stmt)
+                out.extend("        " + stmt for stmt in fast)
                 out.append("    else:")
-                out.append("        try:")
-                for stmt in slow:
-                    out.append("            " + stmt)
-                out.append("        except SimulationError as e:")
-                out.append("            " + trap_ret)
+                indent = "        "
+            out.append(indent + "try:")
+            out.extend(indent + "    " + stmt for stmt in slow)
+            out.append(indent + "except SimulationError as e:")
+            out.append(indent + "    " + trap_ret)
             if head and extra_seq:
                 out.append("    xc += m")
         else:
-            stmts, _ = _op_source(instr)
-            for stmt in stmts:
-                out.append("    " + stmt)
-        if hooked:
-            out.append(f"    h({address}, _i[{k}])")
+            out.extend("    " + stmt
+                       for stmt in _op_statements(instr, address))
         cyc += hc_seq
-        if spec.is_store:
+        if kind == "store":
             out.append("    if mmio.exit_code is not None:")
             out.append(f"        return ({n}, {charge(cyc)}, "
                        f"{n} - mr, mr, 3, None)")
@@ -643,4 +411,4 @@ def compile_vanilla_run(machine, start_pc: int,
         out.append(f"    return ({n}, {charge(cyc)}, "
                    f"{n} - mr, mr, 1, {next_pc})")
 
-    return (_compile(out, namespace), n, covered)
+    return _compile("\n".join(out) + "\n")

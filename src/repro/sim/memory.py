@@ -14,6 +14,7 @@ every fetch re-decrypts and re-verifies.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -76,7 +77,7 @@ class Memory:
         self.ram = bytearray(data_limit - data_base)
         self.ram[:len(data)] = data
         self.mmio = mmio if mmio is not None else MMIODevice()
-        self._code_listeners: List[Callable[[int], None]] = []
+        self._code_listeners: List[Callable[[], Optional[Callable]]] = []
         # the code region never grows or shrinks (poke_code writes in
         # place), so its limit is a plain attribute, not a recomputation
         self.code_limit = code_base + 4 * len(self.code)
@@ -94,8 +95,19 @@ class Memory:
         return self.code_base <= address < self.code_limit
 
     def add_code_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the address of any code write."""
-        self._code_listeners.append(listener)
+        """Register a callback invoked with the address of any code write.
+
+        A bound method is held weakly: machines register their own
+        methods, and a strong reference would make machine → memory →
+        listener → machine a cycle that only the cyclic garbage collector
+        frees, keeping every dead machine's RAM and compiled code alive
+        until a full collection.  Other callables are held strongly.
+        """
+        try:
+            ref = weakref.WeakMethod(listener)
+        except TypeError:   # not a bound method of a weakly referenceable
+            ref = lambda: listener  # noqa: E731
+        self._code_listeners.append(ref)
 
     def fetch_word(self, address: int) -> int:
         """Instruction fetch (no MMIO, code region only)."""
@@ -112,8 +124,10 @@ class Memory:
         if not self.in_code(address):
             raise SimulationError(f"code write outside text 0x{address:08x}")
         self.code[(address - self.code_base) >> 2] = word & MASK32
-        for listener in self._code_listeners:
-            listener(address)
+        for ref in self._code_listeners:
+            listener = ref()
+            if listener is not None:
+                listener(address)
 
     # -- data loads/stores -------------------------------------------------
 

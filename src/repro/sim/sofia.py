@@ -18,6 +18,12 @@ Per-edge decrypt/verify results are memoized — a valid execution decrypts a
 given (prevPC, entry) pair identically every time, so loops pay for the
 cipher once.  Any write to program memory flushes the memo, exactly like
 hardware where each fetch re-decrypts and re-verifies.
+
+Two loops execute verified blocks: the ``"reference"`` engine steps
+:func:`repro.sim.core.execute`, the semantics oracle, and the default
+fused loop interprets each block with step handlers until its edge is
+hot, then calls it as one compiled function (:mod:`repro.sim.fused`).
+Both produce bit-identical :class:`~repro.sim.result.ExecutionResult`\\ s.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from ..obs import hook as obs_hook
 from ..transform.config import RESET_PREV_PC
 from ..transform.encrypt import unseal_block
 from ..transform.image import SofiaImage
+from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
 from .engine import compile_fetch_runs, predecode_payload, resolve_engine
@@ -54,18 +61,18 @@ class _VerifiedBlock:
     payload: Tuple[Tuple[Instruction, int, int], ...] = ()  # (instr, addr, slot)
     violation: Optional[ViolationRecord] = None
     decode_failure: Optional[Tuple[int, str]] = None  # (slot, reason)
-    #: everything the predecoded engine needs per traversal, precompiled
-    #: into one tuple on the block's first traversal (dies with the block
-    #: on any code write); see ``SofiaMachine._compile_hot``
+    #: everything an interpreted traversal needs, precompiled into one
+    #: tuple on the block's first traversal (dies with the block on any
+    #: code write); see ``SofiaMachine._compile_hot``
     hot: Optional[tuple] = None
-    #: the fused-superblock run handlers (repro.sim.fused): the whole
-    #: payload source-compiled into one call, cached exactly like ``hot``
-    #: (and invalidated with it); ``fused_hook`` is the traced/generic
-    #: variant, compiled lazily only when a hook or pending exit needs it.
-    #: Handlers bind no machine state, so forks sharing block objects
-    #: share the compiled code too.
+    #: interpreted traversals so far; the ``COMPILE_THRESHOLD``-th one
+    #: compiles ``fused``
+    heat: int = 0
+    #: the whole payload source-compiled into one run handler
+    #: (:func:`repro.sim.fused.compile_sofia_block`), cached exactly like
+    #: ``hot``.  Handlers bind no machine state, so forks sharing block
+    #: objects share the compiled code too.
     fused: Optional[Callable] = None
-    fused_hook: Optional[Callable] = None
 
 
 class SofiaMachine:
@@ -104,15 +111,10 @@ class SofiaMachine:
         self.prev_pc = RESET_PREV_PC
         self._config = self.profile.to_config(code_base=image.code_base)
         self._block_cache: Dict[Tuple[int, int], _VerifiedBlock] = {}
-        #: flat edge -> fused-run-handler memos so the fused hot loop is a
+        #: flat edge -> compiled-handler memo so a hot traversal is a
         #: single dict probe (rebuilt lazily from the block memos; forks
         #: start empty but reuse the handlers shared via the blocks)
         self._fused_edges: Dict[Tuple[int, int], Callable] = {}
-        self._fused_hook_edges: Dict[Tuple[int, int], Callable] = {}
-        #: edges seen exactly once by the fused engine: the first
-        #: traversal is interpreted over the predecoded hot tuple, only
-        #: the second pays the source compile (one-shot code never does)
-        self._fused_heat: Dict[Tuple[int, int], int] = {}
         self.memory.add_code_listener(self._on_code_write)
         #: fault-injection hooks (see repro.faults): a glitched comparator
         #: accepts this many failing MAC checks; a transient fetch glitch
@@ -135,8 +137,6 @@ class SofiaMachine:
     def _on_code_write(self, _address: int) -> None:
         self._block_cache.clear()
         self._fused_edges.clear()
-        self._fused_hook_edges.clear()
-        self._fused_heat.clear()
         self.keystream = EdgeKeystream(self.keys.encryption_cipher,
                                        self.image.nonce)
 
@@ -301,8 +301,6 @@ class SofiaMachine:
     def run(self, max_instructions: int = 50_000_000) -> ExecutionResult:
         if self.engine == "reference":
             result = self._run_reference(max_instructions)
-        elif self.engine == "predecoded":
-            result = self._run_predecoded(max_instructions)
         else:
             if self.engine == "batch" and self._mac_cache is None:
                 # batch engine == the fused run loop over a front end
@@ -417,7 +415,7 @@ class SofiaMachine:
             mac_fetch_cycles=mac_fetch_cycles)
 
     def _compile_hot(self, block: _VerifiedBlock) -> tuple:
-        """Precompile one verified block for the predecoded engine.
+        """Precompile one verified block for interpreted traversals.
 
         Returns ``(ok, n_fetch, fetch_runs, mac_cycles, steps,
         fallthrough_prev, fallthrough_pc, violation, trap_reason)`` — the
@@ -440,35 +438,49 @@ class SofiaMachine:
                 block.base + block_bytes - 4, block.base + block_bytes,
                 block.violation, trap_reason)
 
-    def _run_predecoded(self, max_instructions: int) -> ExecutionResult:
-        """The fast loop: verified blocks carry precompiled hot tuples.
+    def _run_fused(self, max_instructions: int) -> ExecutionResult:
+        """The fast loop: interpret a block until it is hot, then call it.
 
-        Behaviour is bit-identical to :meth:`_run_reference` — same
-        commit/hook ordering, same cycle, MAC-slot and I-cache accounting,
-        same reset/trap points.  The decrypt/verify front-end is shared
-        (and memoized) with the reference engine; each verified block
-        additionally caches a hot tuple (:meth:`_compile_hot`) holding its
-        compiled payload steps and its fetch addresses collapsed into
-        same-cache-line runs (one tag check per line instead of per word,
-        with identical statistics).  When no ``on_commit`` hook is
-        installed (bind it before calling :meth:`run`), an inner loop
+        Bit-identical to :meth:`_run_reference` — same commit/hook
+        ordering, same cycle, MAC-slot and I-cache accounting, same
+        reset/trap points.  The decrypt/verify front end is shared (and
+        memoized) with the reference engine.  A traversal whose edge has
+        a compiled handler is one dict probe, one call and one unpack: the
+        handler (:func:`repro.sim.fused.compile_sofia_block`) folds the
+        payload, the I-cache checks and the block-level ``max(fetch,
+        exec)`` bottleneck into compile-time constants and returns its
+        successor edge.  Every other traversal is interpreted inline over
+        the block's hot tuple (:meth:`_compile_hot`: step handlers plus
+        fetch addresses collapsed into same-cache-line runs); the
+        ``COMPILE_THRESHOLD``-th traversal of a memoized edge compiles it.
+
+        An ``on_commit`` hook (bind it before calling :meth:`run`), or an
+        exit register already written when the run starts (the oracle
+        still executes one instruction before noticing), keeps every
+        traversal interpreted with the generic inner loop, which mirrors
+        the reference ordering check for check.  Otherwise an inner loop
         specialized by step kind skips every post-commit check an inert
-        step provably cannot need; the generic inner loop mirrors the
-        reference ordering check for check.
+        step provably cannot need.  Transient blocks — a glitched
+        comparator's one-shot force-accept, or any block on a
+        ``memoize=False`` machine — are never compiled, preserving their
+        re-verify-next-traversal semantics, and neither are blocks that
+        failed verification (their one traversal resets the machine).
         """
         state = self.state
         icache = self.icache
         memory = self.memory
         mmio = memory.mmio
         regs = state.regs
+        ld = memory.load
+        st = memory.store
+        ram = memory.ram
         on_commit = self.on_commit
-        get_block = self._block_cache.get
+        block_cache = self._block_cache
         miss_penalty = self.timing.icache_miss_penalty
         tags = icache._tags
+        threshold = fused.COMPILE_THRESHOLD
         hits = 0
         misses = 0
-        pc = state.pc
-        prev_pc = self.prev_pc
         cycles = 0
         executed = 0
         blocks_executed = 0
@@ -476,15 +488,66 @@ class SofiaMachine:
         status: Optional[Status] = None
         trap_reason = ""
         violation: Optional[ViolationRecord] = None
-        # a resumed run can start with the exit register already written;
-        # the oracle still executes one instruction before noticing — the
-        # generic loop polls unconditionally, so take it in that case
         generic = (on_commit is not None) or mmio.exit_code is not None
+        # compiled handlers are never dispatched on the generic path
+        edges = {} if generic else self._fused_edges
+        get_edge = edges.get
+        key = (self.prev_pc, state.pc)
+        # a transient fetch glitch (pending_fetch_restore) can only be
+        # armed before the run or while a block is decrypted — i.e. on the
+        # interpreted path — so compiled traversals poll it only then
+        restore_check = self.pending_fetch_restore is not None
 
         while executed < max_instructions:
-            block = get_block((prev_pc, pc))
+            fn = get_edge(key)
+            if fn is not None:
+                n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio,
+                                                  tags, ram)
+                blocks_executed += 1
+                executed += n
+                cycles += cyc
+                hits += h
+                misses += mr
+                mac_fetch_cycles += mc
+                if restore_check:
+                    restore_check = False
+                    if self.pending_fetch_restore is not None:
+                        address, original = self.pending_fetch_restore
+                        self.pending_fetch_restore = None
+                        memory.poke_code(address, original)
+                if key2 is not None:
+                    key = key2
+                    continue
+                code, payload = arg
+                if code == 2:
+                    status = Status.HALT
+                elif code == 3:
+                    status = Status.EXIT
+                else:
+                    status = Status.TRAP
+                    trap_reason = payload
+                break
+
+            block = block_cache.get(key)
+            transient = False
             if block is None:
-                block = self.decrypt_and_verify(prev_pc, pc)
+                block = self.decrypt_and_verify(*key)
+                restore_check = True
+                transient = block_cache.get(key) is not block
+            if not (generic or transient) and block.ok:
+                fn = block.fused
+                if fn is None:
+                    block.heat += 1
+                    if block.heat >= threshold:
+                        fn = block.fused = fused.compile_sofia_block(
+                            block, self.timing, icache, memory,
+                            self.image.block_bytes)
+                        if self._obs is not None:
+                            self._obs.count("sim.fused_compile")
+                if fn is not None:
+                    # hot, or compiled by a fork sharing this block
+                    edges[key] = fn
+                    continue
             hot = block.hot
             if hot is None:
                 hot = block.hot = self._compile_hot(block)
@@ -527,8 +590,8 @@ class SofiaMachine:
                         status = Status.EXIT
                         break
                     if kind == 2:  # KIND_CTI
-                        prev_pc = address
-                        pc = target if target is not None else fallthrough_pc
+                        key = (address, target if target is not None
+                               else fallthrough_pc)
                         transferred = True
                         break
             else:
@@ -551,11 +614,10 @@ class SofiaMachine:
                     if kind == 2:          # CTI: always ends the block
                         if target is None:
                             exec_cycles += cyc_seq
-                            pc = fallthrough_pc
+                            key = (address, fallthrough_pc)
                         else:
                             exec_cycles += cyc_taken
-                            pc = target
-                        prev_pc = address
+                            key = (address, target)
                         transferred = True
                         break
                     exec_cycles += cyc_seq  # halt
@@ -564,121 +626,21 @@ class SofiaMachine:
             cycles += fetch_cycles if fetch_cycles > exec_cycles \
                 else exec_cycles
             if self.pending_fetch_restore is not None:
+                # transient fetch glitch: the corrupted word lived for one
+                # block-traversal window; restore the stored ciphertext
                 address, original = self.pending_fetch_restore
                 self.pending_fetch_restore = None
                 memory.poke_code(address, original)
             if status is not None:
                 break
-            if block_trap is not None and not transferred:
-                status = Status.TRAP
-                trap_reason = block_trap
-                break
             if not transferred:
+                if block_trap is not None:
+                    status = Status.TRAP
+                    trap_reason = block_trap
+                    break
                 # sequential fall-through into the next block
-                prev_pc = fallthrough_prev
-                pc = fallthrough_pc
-        self.state.pc = pc
-        self.prev_pc = prev_pc
-        icache.stats.hits += hits
-        icache.stats.misses += misses
-        return ExecutionResult(
-            status=status if status is not None else Status.LIMIT,
-            cycles=cycles, instructions=executed,
-            exit_code=mmio.exit_code, mmio=mmio, violation=violation,
-            trap_reason=trap_reason, icache=icache.stats,
-            blocks_executed=blocks_executed,
-            mac_fetch_cycles=mac_fetch_cycles)
-
-    def _run_fused(self, max_instructions: int) -> ExecutionResult:
-        """The fused-superblock loop: one compiled call per block.
-
-        Bit-identical to :meth:`_run_predecoded` (and thus to the
-        reference oracle): each verified block's payload is
-        source-compiled into a single run handler
-        (:func:`repro.sim.fused.compile_sofia_block`) cached on the block
-        right next to the predecoded ``hot`` tuple, with the same
-        lifetime — any code write drops the block memo and the handler
-        with it.  Mid-run traps, MMIO exits, halts, taken/not-taken
-        costs, I-cache statistics and the block-level
-        ``max(fetch, exec)`` bottleneck are all folded into the handler's
-        compile-time constants (see the module docstring of
-        :mod:`repro.sim.fused` for the trap-equivalence argument).
-        Compiles are cold paths: the ``sim.fused_compile`` counter fires
-        only there, so telemetry-off runs never touch the sink.
-        """
-        state = self.state
-        icache = self.icache
-        memory = self.memory
-        mmio = memory.mmio
-        regs = state.regs
-        ld = memory.load
-        st = memory.store
-        ram = memory.ram
-        on_commit = self.on_commit
-        tags = icache._tags
-        hits = 0
-        misses = 0
-        cycles = 0
-        executed = 0
-        blocks_executed = 0
-        mac_fetch_cycles = 0
-        status: Optional[Status] = None
-        trap_reason = ""
-        violation: Optional[ViolationRecord] = None
-        # same rule as the predecoded loop: a hook or an already-written
-        # exit register selects the generic (polling) variant
-        generic = (on_commit is not None) or mmio.exit_code is not None
-        get_edge = (self._fused_hook_edges if generic
-                    else self._fused_edges).get
-        # every handler returns its successor edge as a compile-time
-        # constant (or None when the run ends), so the hot path below is
-        # one dict probe, one call and one unpack per verified block
-        key = (self.prev_pc, state.pc)
-        # a transient fetch glitch (pending_fetch_restore) can only be
-        # armed before the run or while a block is decrypted — i.e. on the
-        # cold path — so the hot loop polls the attribute only then
-        restore_check = self.pending_fetch_restore is not None
-
-        while executed < max_instructions:
-            fn = get_edge(key)
-            if fn is None:
-                fn = self._fused_handler(key, generic)
-                restore_check = True
-            if generic:
-                n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio,
-                                                  tags, ram, on_commit)
-            else:
-                n, cyc, h, mr, mc, key2, arg = fn(regs, ld, st, mmio,
-                                                  tags, ram)
-            blocks_executed += 1
-            executed += n
-            cycles += cyc
-            hits += h
-            misses += mr
-            mac_fetch_cycles += mc
-            if restore_check:
-                restore_check = False
-                if self.pending_fetch_restore is not None:
-                    address, original = self.pending_fetch_restore
-                    self.pending_fetch_restore = None
-                    memory.poke_code(address, original)
-            if key2 is not None:
-                key = key2
-                continue
-            code, payload = arg
-            if code == 2:
-                status = Status.HALT
-            elif code == 3:
-                status = Status.EXIT
-            elif code == 4:
-                status = Status.TRAP
-                trap_reason = payload
-            else:
-                status = Status.RESET
-                violation = payload
-            break
-        # terminal handlers return no successor, leaving pc/prev_pc at the
-        # block entry — exactly where the predecoded loop leaves them
+                key = (fallthrough_prev, fallthrough_pc)
+        # terminal traversals leave pc/prev_pc at the block entry
         self.prev_pc, self.state.pc = key
         icache.stats.hits += hits
         icache.stats.misses += misses
@@ -689,151 +651,6 @@ class SofiaMachine:
             trap_reason=trap_reason, icache=icache.stats,
             blocks_executed=blocks_executed,
             mac_fetch_cycles=mac_fetch_cycles)
-
-    def _fused_handler(self, key: Tuple[int, int], generic: bool):
-        """Cold path of :meth:`_run_fused`: produce one edge's handler.
-
-        Warm-up policy: the first ``COMPILE_THRESHOLD - 1`` traversals of
-        an edge are executed by :meth:`_fused_interp` — the predecoded
-        inner loop itself, speaking the fused return protocol — and only
-        a genuinely hot edge pays the source compile, so one-shot and
-        lukewarm code never compiles at all.  Compiled
-        handlers are cached on the block (forks sharing block objects
-        share the code) and memoized in the flat edge dict probed by the
-        hot loop.  Transient blocks — a glitched comparator's one-shot
-        force-accept, or any block on a ``memoize=False`` machine — are
-        always interpreted and never reach the edge dict, preserving
-        their re-verify-next-traversal semantics.
-        """
-        from .fused import COMPILE_THRESHOLD, compile_sofia_block
-        block = self._block_cache.get(key)
-        transient = False
-        if block is None:
-            block = self.decrypt_and_verify(*key)
-            transient = self._block_cache.get(key) is not block
-        fn = block.fused_hook if generic else block.fused
-        if fn is None:
-            heat = self._fused_heat.get(key, 0) + 1
-            if transient or heat < COMPILE_THRESHOLD:
-                if not transient:
-                    self._fused_heat[key] = heat
-                if generic:
-                    return (lambda r, ld, st, mmio, tags, ram, h,
-                            _b=block: self._fused_interp(_b, True))
-                return (lambda r, ld, st, mmio, tags, ram,
-                        _b=block: self._fused_interp(_b, False))
-            self._fused_heat.pop(key, None)
-            fn = compile_sofia_block(
-                block, self.timing, self.icache, self.memory,
-                self.image.block_bytes, hooked=generic)
-            if generic:
-                block.fused_hook = fn
-            else:
-                block.fused = fn
-            if self._obs is not None:
-                self._obs.count("sim.fused_compile")
-        (self._fused_hook_edges if generic
-         else self._fused_edges)[key] = fn
-        return fn
-
-    def _fused_interp(self, block: _VerifiedBlock, generic: bool):
-        """One predecoded traversal of ``block``, fused return protocol.
-
-        This is the inner block body of :meth:`_run_predecoded`
-        transliterated (same hot tuple, same step handlers, same
-        ordering), used by :meth:`_fused_handler` to warm an edge up
-        before spending a source compile on it.  Returns the same
-        ``(n, cycles, hits, misses, mac_cycles, next_key, arg)`` a
-        compiled handler would.
-        """
-        hot = block.hot
-        if hot is None:
-            hot = block.hot = self._compile_hot(block)
-        (ok, fetch_cycles, runs, mac_cycles, steps,
-         fallthrough_prev, fallthrough_pc, block_violation,
-         block_trap) = hot
-        memory = self.memory
-        mmio = memory.mmio
-        regs = self.state.regs
-        tags = self.icache._tags
-        miss_penalty = self.timing.icache_miss_penalty
-        hits = 0
-        misses = 0
-        for index, tag, count in runs:
-            if tags[index] == tag:
-                hits += count
-            else:
-                tags[index] = tag
-                misses += 1
-                hits += count - 1
-                fetch_cycles += miss_penalty
-        if not ok:
-            return (0, fetch_cycles, hits, misses, mac_cycles,
-                    None, (5, block_violation))
-
-        on_commit = self.on_commit
-        executed = 0
-        exec_cycles = 0
-        arg = None
-        key2 = None
-        if generic:
-            for run_h, cyc_seq, cyc_taken, kind, address, instr in steps:
-                try:
-                    target = run_h(regs, memory, address)
-                except SimulationError as exc:
-                    arg = (4, str(exc))
-                    break
-                executed += 1
-                exec_cycles += cyc_seq if target is None else cyc_taken
-                if on_commit is not None:
-                    on_commit(address, instr)
-                if target == -1:  # engine.HALT
-                    arg = (2, None)
-                    break
-                if mmio.exit_code is not None:
-                    arg = (3, None)
-                    break
-                if kind == 2:  # KIND_CTI
-                    key2 = (address, target if target is not None
-                            else fallthrough_pc)
-                    break
-        else:
-            for run_h, cyc_seq, cyc_taken, kind, address, instr in steps:
-                try:
-                    target = run_h(regs, memory, address)
-                except SimulationError as exc:
-                    arg = (4, str(exc))
-                    break
-                executed += 1
-                if kind == 0:          # inert: target is always None
-                    exec_cycles += cyc_seq
-                    continue
-                if kind == 1:          # store: may have set exit
-                    exec_cycles += cyc_seq
-                    if mmio.exit_code is not None:
-                        arg = (3, None)
-                        break
-                    continue
-                if kind == 2:          # CTI: always ends the block
-                    if target is None:
-                        exec_cycles += cyc_seq
-                        key2 = (address, fallthrough_pc)
-                    else:
-                        exec_cycles += cyc_taken
-                        key2 = (address, target)
-                    break
-                exec_cycles += cyc_seq  # halt
-                arg = (2, None)
-                break
-        cycles = fetch_cycles if fetch_cycles > exec_cycles else exec_cycles
-        if arg is None and key2 is None:
-            # ran off the payload end: decode-failure trap or sequential
-            # fall-through into the next block
-            if block_trap is not None:
-                arg = (4, block_trap)
-            else:
-                key2 = (fallthrough_prev, fallthrough_pc)
-        return (executed, cycles, hits, misses, mac_cycles, key2, arg)
 
 
 def run_image(image: SofiaImage, keys: DeviceKeys,

@@ -5,9 +5,10 @@ functional core and cycle model.  This is the paper's baseline processor:
 it happily runs injected or tampered code — the attack suite uses exactly
 that property for its differential experiments.
 
-Two execution engines drive the same architectural model (see
-:mod:`repro.sim.engine`): the default ``"predecoded"`` engine steps
-per-PC-cached compiled handlers, and the ``"reference"`` engine steps
+Two loops drive the same architectural model: the default fused loop
+(see :mod:`repro.sim.fused`) steps each straight-line run with step
+handlers (:mod:`repro.sim.engine`) until it is hot and then calls it as
+one compiled function, and the ``"reference"`` engine steps
 :func:`repro.sim.core.execute` — the semantics oracle the differential
 suite locksteps against.  Both produce bit-identical
 :class:`~repro.sim.result.ExecutionResult`\\ s.
@@ -15,19 +16,43 @@ suite locksteps against.  Both produce bit-identical
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from ..errors import DecodingError, SimulationError
 from ..isa.encoding import decode
 from ..isa.instructions import Instruction
 from ..isa.program import Executable
 from ..obs import hook as obs_hook
+from . import fused
 from .cache import DirectMappedCache
 from .core import CPUState, execute
-from .engine import PredecodedStep, predecode, resolve_engine
+from .engine import predecode, resolve_engine
 from .memory import Memory
 from .result import ExecutionResult, Status
 from .timing import DEFAULT_TIMING, TimingParams, instruction_cycles
+
+
+class _Run:
+    """One straight-line run of the fused loop, keyed by its start PC.
+
+    ``steps`` are the interpreter steps at consecutive PCs up to and
+    including the first CTI, store or halt (stores end runs, so
+    self-modifying code can never execute a stale suffix), capped at
+    :data:`repro.sim.fused.MAX_RUN`; a fetch/decode fault past the first
+    PC truncates the run there.  A run whose very first fetch/decode
+    faults has no steps and carries the trap reason instead.
+    """
+
+    __slots__ = ("steps", "n", "trap", "heat", "fn")
+
+    def __init__(self, steps: tuple, trap: Optional[str]) -> None:
+        self.steps = steps
+        self.n = len(steps)
+        self.trap = trap
+        #: interpreted entries so far; the ``COMPILE_THRESHOLD``-th
+        #: compiles ``fn``
+        self.heat = 0
+        self.fn = None
 
 
 class VanillaMachine:
@@ -47,20 +72,18 @@ class VanillaMachine:
                                         timing.icache_line_words)
         self.state = CPUState.reset(executable.entry)
         self._decoded: Dict[int, Instruction] = {}
-        self._predecoded: Dict[int, PredecodedStep] = {}
-        #: fused-superblock run handlers (repro.sim.fused), keyed by the
-        #: run's start PC; ``_fused_cover`` maps every covered address back
-        #: to its start PCs so one code write invalidates exactly the runs
-        #: that compiled that word (mirroring the per-PC predecode pops)
-        self._fused_runs: Dict[int, tuple] = {}
-        self._fused_hook_runs: Dict[int, tuple] = {}
-        self._fused_cover: Dict[int, set] = {}
+        #: straight-line runs keyed by start PC; ``_run_cover`` maps every
+        #: covered address back to its start PCs so one code write
+        #: invalidates exactly the runs that decoded that word
+        self._runs: Dict[int, _Run] = {}
+        self._run_cover: Dict[int, Set[int]] = {}
         #: optional tracing hook, called as on_commit(pc, instr) after each
         #: committed instruction (see repro.sim.trace); fires identically
-        #: under both engines
+        #: under every engine
         self.on_commit = None
         #: telemetry sink captured once at construction (repro.obs.hook);
-        #: ``None`` by default, consulted only at the end of run()
+        #: ``None`` by default, consulted only at the end of run() and on
+        #: compiles
         self._obs = obs_hook.SIM
         # any code write invalidates decoded instructions (self-modifying
         # code / injection attacks must see their new bytes)
@@ -68,22 +91,17 @@ class VanillaMachine:
 
     def _on_code_write(self, address: int) -> None:
         self._decoded.pop(address, None)
-        self._predecoded.pop(address, None)
-        starts = self._fused_cover.pop(address, None)
+        starts = self._run_cover.pop(address, None)
         if starts:
-            fused_runs = self._fused_runs
-            hook_runs = self._fused_hook_runs
+            runs = self._runs
             for start in starts:
-                fused_runs.pop(start, None)
-                hook_runs.pop(start, None)
+                runs.pop(start, None)
 
     def _flush_decoded(self) -> None:
-        """Drop every cached decode/predecode (coupled-word encodings)."""
+        """Drop every cached decode and run (coupled-word encodings)."""
         self._decoded.clear()
-        self._predecoded.clear()
-        self._fused_runs.clear()
-        self._fused_hook_runs.clear()
-        self._fused_cover.clear()
+        self._runs.clear()
+        self._run_cover.clear()
 
     def _fetch_decode(self, pc: int) -> Instruction:
         cached = self._decoded.get(pc)
@@ -98,10 +116,8 @@ class VanillaMachine:
         """Run to completion (halt/exit/trap) or the instruction budget."""
         if self.engine == "reference":
             result = self._run_reference(max_instructions)
-        elif self.engine == "fused":
-            result = self._run_fused(max_instructions)
         else:
-            result = self._run_predecoded(max_instructions)
+            result = self._run_fused(max_instructions)
         obs = self._obs
         if obs is not None:
             engine = self.engine
@@ -158,131 +174,66 @@ class VanillaMachine:
                                trap_reason=trap_reason,
                                icache=icache.stats)
 
-    def _run_predecoded(self, max_instructions: int) -> ExecutionResult:
-        """The fast loop: step per-PC-cached compiled handlers.
+    def _decode_run(self, start_pc: int) -> _Run:
+        """Cold path: decode and predecode the run at ``start_pc``."""
+        steps = []
+        trap = None
+        pc = start_pc
+        while len(steps) < fused.MAX_RUN:
+            try:
+                instr = self._fetch_decode(pc)
+            except (DecodingError, SimulationError) as exc:
+                if not steps:
+                    trap = str(exc)
+                break
+            steps.append(predecode(instr, self.timing))
+            spec = instr.spec
+            if spec.is_cti or spec.is_halt or spec.is_store:
+                break
+            pc += 4
+        run = self._runs[start_pc] = _Run(tuple(steps), trap)
+        cover = self._run_cover
+        for k in range(max(run.n, 1)):
+            cover.setdefault(start_pc + 4 * k, set()).add(start_pc)
+        return run
+
+    def _run_fused(self, max_instructions: int) -> ExecutionResult:
+        """The fast loop: interpret a run until it is hot, then call it.
 
         Observable behaviour is bit-identical to :meth:`_run_reference`
         at every commit: same register/memory effects, same cycle and
-        I-cache accounting, same hook firing order, same trap points.
-        Loop invariants are hoisted hard: the I-cache lookup is inlined
-        (local tag list and hit/miss counters flushed to ``icache.stats``
-        on exit), the ``on_commit`` hook and register file are bound once
+        I-cache accounting, same hook firing order, same trap points.  A
+        run with a compiled handler
+        (:func:`repro.sim.fused.compile_vanilla_run`) is one call when the
+        whole run fits the remaining budget; every other entry is
+        interpreted inline, step by step and per-instruction exact, and
+        the ``COMPILE_THRESHOLD``-th entry of a run compiles it.  Loop
+        invariants are hoisted hard: the I-cache lookup is inlined (local
+        tag list and hit/miss counters flushed to ``icache.stats`` on
+        exit), the ``on_commit`` hook and register file are bound once
         (install the hook before calling :meth:`run`), and the MMIO exit
-        poll only runs after stores — the only steps that can set it.
+        poll only runs after stores — the only steps that can set it.  A
+        hook, or an exit register already written when the run starts
+        (the oracle still executes one instruction before noticing),
+        keeps every run interpreted and polls after every commit.
         """
         state = self.state
         memory = self.memory
-        timing = self.timing
         icache = self.icache
         mmio = memory.mmio
-        regs = state.regs
-        on_commit = self.on_commit
-        get_step = self._predecoded.get
-        predecoded = self._predecoded
-        miss_penalty = timing.icache_miss_penalty
-        tags = icache._tags
-        line_shift = icache.line_bytes.bit_length() - 1
-        lines_mask = icache.lines - 1
-        lines_shift = icache.lines.bit_length() - 1
-        hits = 0
-        misses = 0
-        cycles = 0
-        executed = 0
-        status = Status.LIMIT
-        trap_reason = ""
-        pc = state.pc
-        # a resumed run can start with the exit register already written;
-        # the oracle still executes one instruction before noticing
-        force_exit = mmio.exit_code is not None
-        while executed < max_instructions:
-            step = get_step(pc)
-            if step is None:
-                try:
-                    instr = self._fetch_decode(pc)
-                except (DecodingError, SimulationError) as exc:
-                    status, trap_reason = Status.TRAP, str(exc)
-                    break
-                step = predecode(instr, timing)
-                predecoded[pc] = step
-            run_h, cyc_seq, cyc_taken, is_store, instr = step
-            line_number = pc >> line_shift
-            index = line_number & lines_mask
-            tag = line_number >> lines_shift
-            if tags[index] == tag:
-                hits += 1
-                fetch_cycles = 1
-            else:
-                tags[index] = tag
-                misses += 1
-                fetch_cycles = 1 + miss_penalty
-            try:
-                target = run_h(regs, memory, pc)
-            except SimulationError as exc:
-                status, trap_reason = Status.TRAP, str(exc)
-                break
-            executed += 1
-            if target is None:
-                cycles += fetch_cycles if fetch_cycles > cyc_seq else cyc_seq
-                if on_commit is not None:
-                    on_commit(pc, instr)
-                if (is_store or force_exit) and mmio.exit_code is not None:
-                    status = Status.EXIT
-                    break
-                pc += 4
-                state.pc = pc
-            else:
-                cycles += fetch_cycles if fetch_cycles > cyc_taken else cyc_taken
-                if on_commit is not None:
-                    on_commit(pc, instr)
-                if target == -1:  # engine.HALT
-                    status = Status.HALT
-                    break
-                if (is_store or force_exit) and mmio.exit_code is not None:
-                    status = Status.EXIT
-                    break
-                pc = target
-                state.pc = pc
-        icache.stats.hits += hits
-        icache.stats.misses += misses
-        return ExecutionResult(status=status, cycles=cycles,
-                               instructions=executed,
-                               exit_code=mmio.exit_code, mmio=mmio,
-                               trap_reason=trap_reason,
-                               icache=icache.stats)
-
-    def _run_fused(self, max_instructions: int) -> ExecutionResult:
-        """The fused-superblock loop: one compiled call per straight run.
-
-        Bit-identical to :meth:`_run_predecoded`: each straight-line chain
-        up to the next CTI/store/halt is source-compiled into one handler
-        (:func:`repro.sim.fused.compile_vanilla_run`) cached per start PC
-        and invalidated by the same code-write listener that pops
-        predecoded steps.  Two predecoded behaviours are delegated rather
-        than re-implemented, both by running the predecoded loop itself so
-        equivalence is by construction: a resumed run whose exit register
-        is already written (the per-instruction ``force_exit`` poll), and
-        the tail of a run that would overshoot the instruction budget
-        (the predecoded loop is per-instruction exact; fused runs only
-        whole runs).
-        """
-        memory = self.memory
-        mmio = memory.mmio
-        if mmio.exit_code is not None:
-            return self._run_predecoded(max_instructions)
-        from .fused import compile_vanilla_run
-        state = self.state
-        icache = self.icache
         regs = state.regs
         ld = memory.load
         st = memory.store
         ram = memory.ram
         on_commit = self.on_commit
-        hooked = on_commit is not None
-        runs = self._fused_hook_runs if hooked else self._fused_runs
-        get_run = runs.get
-        cover = self._fused_cover
+        get_run = self._runs.get
+        miss_penalty = self.timing.icache_miss_penalty
         tags = icache._tags
-        obs = self._obs
+        line_shift = icache.line_bytes.bit_length() - 1
+        lines_mask = icache.lines - 1
+        lines_shift = icache.lines.bit_length() - 1
+        threshold = fused.COMPILE_THRESHOLD
+        generic = on_commit is not None or mmio.exit_code is not None
         hits = 0
         misses = 0
         cycles = 0
@@ -291,62 +242,88 @@ class VanillaMachine:
         trap_reason = ""
         pc = state.pc
         while executed < max_instructions:
-            entry = get_run(pc)
-            if entry is None:
-                fn, n_max, covered = compile_vanilla_run(self, pc,
-                                                         hooked=hooked)
-                entry = (fn, n_max)
-                runs[pc] = entry
-                for address in covered:
-                    starts = cover.get(address)
-                    if starts is None:
-                        cover[address] = starts = set()
-                    starts.add(pc)
-                if obs is not None:
-                    obs.count("sim.fused_compile")
-            fn, n_max = entry
-            if fn is None:
-                # the first fetch/decode of this run faults every time;
-                # n_max carries the (deterministic) trap reason
-                status, trap_reason = Status.TRAP, n_max
+            run = get_run(pc)
+            if run is None:
+                run = self._decode_run(pc)
+            fn = run.fn
+            if fn is None and not generic and run.n:
+                run.heat += 1
+                if run.heat >= threshold:
+                    fn = run.fn = fused.compile_vanilla_run(
+                        [step[4] for step in run.steps], pc, self.timing,
+                        icache, memory)
+                    if self._obs is not None:
+                        self._obs.count("sim.fused_compile")
+            steps = run.steps
+            if run.n > max_instructions - executed:
+                # budget boundary inside the run: step the exact prefix
+                steps = steps[:max_instructions - executed]
+            elif fn is not None and not generic:
+                n, cyc, h, mr, code, arg = fn(regs, ld, st, mmio, tags, ram)
+                executed += n
+                cycles += cyc
+                hits += h
+                misses += mr
+                if code == 1:
+                    pc = arg
+                    continue
+                if code == 2:
+                    status = Status.HALT
+                    pc += 4 * (n - 1)
+                elif code == 3:
+                    status = Status.EXIT
+                    pc += 4 * (n - 1)
+                else:
+                    status = Status.TRAP
+                    trap_reason = arg
+                    pc += 4 * n
                 break
-            if n_max > max_instructions - executed:
-                # budget boundary inside the run: hand the exact
-                # per-instruction tail to the predecoded loop
-                icache.stats.hits += hits
-                icache.stats.misses += misses
+            for run_h, cyc_seq, cyc_taken, is_store, instr in steps:
+                line_number = pc >> line_shift
+                index = line_number & lines_mask
+                tag = line_number >> lines_shift
+                if tags[index] == tag:
+                    hits += 1
+                    fetch_cycles = 1
+                else:
+                    tags[index] = tag
+                    misses += 1
+                    fetch_cycles = 1 + miss_penalty
+                try:
+                    target = run_h(regs, memory, pc)
+                except SimulationError as exc:
+                    status, trap_reason = Status.TRAP, str(exc)
+                    break
+                executed += 1
+                if target is None:
+                    cycles += fetch_cycles if fetch_cycles > cyc_seq \
+                        else cyc_seq
+                    if on_commit is not None:
+                        on_commit(pc, instr)
+                    if (is_store or generic) and mmio.exit_code is not None:
+                        status = Status.EXIT
+                        break
+                    pc += 4
+                else:
+                    cycles += fetch_cycles if fetch_cycles > cyc_taken \
+                        else cyc_taken
+                    if on_commit is not None:
+                        on_commit(pc, instr)
+                    if target == -1:  # engine.HALT
+                        status = Status.HALT
+                        break
+                    if generic and mmio.exit_code is not None:
+                        status = Status.EXIT
+                        break
+                    pc = target
                 state.pc = pc
-                tail = self._run_predecoded(max_instructions - executed)
-                return ExecutionResult(
-                    status=tail.status, cycles=cycles + tail.cycles,
-                    instructions=executed + tail.instructions,
-                    exit_code=mmio.exit_code, mmio=mmio,
-                    trap_reason=tail.trap_reason, icache=icache.stats)
-            if hooked:
-                n, cyc, h, mr, code, arg = fn(regs, ld, st, mmio, tags,
-                                              ram, on_commit)
             else:
-                n, cyc, h, mr, code, arg = fn(regs, ld, st, mmio, tags,
-                                              ram)
-            executed += n
-            cycles += cyc
-            hits += h
-            misses += mr
-            if code == 1:
-                pc = arg
-                state.pc = pc
-                continue
-            if code == 2:
-                status = Status.HALT
-                state.pc = pc + 4 * (n - 1)
-            elif code == 3:
-                status = Status.EXIT
-                state.pc = pc + 4 * (n - 1)
-            else:
-                status = Status.TRAP
-                trap_reason = arg
-                state.pc = pc + 4 * n
+                if run.trap is None:
+                    continue
+                # the run's first fetch/decode faults every time
+                status, trap_reason = Status.TRAP, run.trap
             break
+        state.pc = pc
         icache.stats.hits += hits
         icache.stats.misses += misses
         return ExecutionResult(status=status, cycles=cycles,

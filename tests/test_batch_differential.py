@@ -125,7 +125,7 @@ class TestBatchMacStream:
 
 class TestBatchEngineParity:
     @pytest.mark.parametrize("name", ["sort", "rle"])
-    def test_sofia_batch_equals_predecoded(self, name):
+    def test_sofia_batch_equals_default(self, name):
         workload, _, image = build(name)
         batch = SofiaMachine(image, KEYS, engine="batch")
         scalar = SofiaMachine(image, KEYS)

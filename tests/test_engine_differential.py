@@ -1,12 +1,15 @@
-"""Lockstep differential suite: predecoded engine vs the reference oracle.
+"""Lockstep differential suite: fused engine vs the reference oracle.
 
-The predecoded engine (:mod:`repro.sim.engine`) must be observationally
-indistinguishable from ``core.execute`` stepped by the reference loops —
-not just in final results but at *every committed instruction*.  These
-tests pin that contract:
+The fused engine (:mod:`repro.sim.engine` step handlers while a run is
+cold, :mod:`repro.sim.fused` compiled runs once it is hot) must be
+observationally indistinguishable from ``core.execute`` stepped by the
+reference loops — not just in final results but at *every committed
+instruction*.  These tests pin that contract:
 
 * lockstep traces via the ``on_commit`` hook — registers, PC and data
-  memory after every commit — for every workload on both machines;
+  memory after every commit — for every workload on both machines (a
+  hook keeps every run interpreted, so each engine also runs unhooked,
+  with hot runs compiled, and must end in the same state);
 * bit-identical ``ExecutionResult`` fields (status, cycles, instructions,
   exit code, I-cache stats) under both overhead-sweep timing configs, so
   Table 1 / Fig. 2 reproductions cannot silently drift with the engine;
@@ -15,12 +18,18 @@ tests pin that contract:
   structured assembly programs (reusing ``test_equivalence`` strategies);
 * cache-invalidation parity for self-modifying code, the ISR baselines'
   overridden fetch path, and the fault campaign's ``engine`` plumbing;
-* renonce rotation-epoch images held to the same lockstep contract.
+* renonce rotation-epoch images held to the same lockstep contract;
+* the warm-up gate: one-shot code never compiles, runs that cross
+  ``COMPILE_THRESHOLD`` compile and stay bit-identical, including at a
+  budget boundary and for a trap on the compile-crossing traversal, and
+  every workload stays bit-identical when every run compiles on entry.
 
 ``assert_lockstep`` and the shared ``engine`` fixture (tests/conftest.py)
 range over every registered engine, so the bit-sliced batch engine is
 held to the identical per-commit contract as the reference oracle.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +39,10 @@ from repro.crypto import DeviceKeys
 from repro.isa import assemble, parse
 from repro.isa.encoding import encode, is_valid_word
 from repro.isa.program import CODE_BASE, Executable
+from repro.obs import hook as obs_hook
 from repro.sim import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, SofiaMachine,
-                       VanillaMachine, run_executable, run_image)
-from repro.sim.engine import ENGINES, resolve_engine
+                       VanillaMachine, fused, run_executable, run_image)
+from repro.sim.engine import DEFAULT_ENGINE, ENGINES, resolve_engine
 from repro.transform import profile_grid, transform
 from repro.workloads import make_workload, workload_names
 
@@ -54,6 +64,29 @@ def build(name):
         _BUILDS[name] = (workload, assemble(program),
                          transform(program, KEYS, nonce=NONCE))
     return _BUILDS[name]
+
+
+def machines(name, timing=DEFAULT_TIMING):
+    """Vanilla and SOFIA machine factories for one workload."""
+    _, exe, image = build(name)
+    return {"vanilla": lambda e: VanillaMachine(exe, timing, engine=e),
+            "sofia": lambda e: SofiaMachine(image, KEYS, timing, engine=e)}
+
+
+#: (workload, timing) -> machine kind -> (result fields, final state) of
+#: the reference oracle, the slow side of every comparison
+_REFERENCE = {}
+
+
+def reference_run(name, timing=DEFAULT_TIMING):
+    key = (name, timing)
+    if key not in _REFERENCE:
+        runs = {}
+        for kind, make in machines(name, timing).items():
+            machine = make("reference")
+            runs[kind] = (result_fields(machine.run()), final_state(machine))
+        _REFERENCE[key] = runs
+    return _REFERENCE[key]
 
 
 def result_fields(result):
@@ -95,24 +128,34 @@ def lockstep_trace(machine, max_instructions=2_000_000):
     return result, events
 
 
+def final_state(machine):
+    """Registers, PC (and prevPC on SOFIA) and data RAM after a run."""
+    return (list(machine.state.regs), machine.state.pc,
+            getattr(machine, "prev_pc", None), bytes(machine.memory.ram))
+
+
 def assert_lockstep(make_machine):
     """Build a machine per registered engine; every engine's lockstep
-    trace must match the predecoded one commit for commit."""
-    pre = make_machine("predecoded")
-    pre_result, pre_events = lockstep_trace(pre)
+    trace must match the reference oracle's commit for commit, and every
+    engine run without a hook (hot runs compiled) must end in the same
+    state with the same result."""
+    ref = make_machine("reference")
+    ref_result, ref_events = lockstep_trace(ref)
     for engine in ENGINES:
-        if engine == "predecoded":
+        if engine == "reference":
             continue
         other = make_machine(engine)
         other_result, other_events = lockstep_trace(other)
-        for i, (a, b) in enumerate(zip(other_events, pre_events)):
+        for i, (a, b) in enumerate(zip(other_events, ref_events)):
             assert a == b, (f"first divergence at commit {i}: "
-                            f"{engine}={a!r} predecoded={b!r}")
-        assert len(other_events) == len(pre_events)
-        assert other.memory.ram == pre.memory.ram
-        assert other.state.regs == pre.state.regs
-        assert other.state.pc == pre.state.pc
-        assert result_fields(other_result) == result_fields(pre_result)
+                            f"{engine}={a!r} reference={b!r}")
+        assert len(other_events) == len(ref_events)
+        assert final_state(other) == final_state(ref)
+        assert result_fields(other_result) == result_fields(ref_result)
+        unhooked = make_machine(engine)
+        assert (result_fields(unhooked.run(2_000_000))
+                == result_fields(ref_result)), engine
+        assert final_state(unhooked) == final_state(ref), engine
 
 
 class TestLockstepWorkloads:
@@ -126,7 +169,7 @@ class TestLockstepWorkloads:
         workload, _, image = build(name)
         assert_lockstep(
             lambda engine: SofiaMachine(image, KEYS, engine=engine))
-        # the golden output is produced under the predecoded engine too
+        # the golden output is produced under the default engine too
         result = SofiaMachine(image, KEYS).run()
         assert result.output_ints == workload.expected_output
 
@@ -140,20 +183,17 @@ class TestCycleAccountingParity:
                                         LEON3_MINIMAL_TIMING],
                              ids=["default", "leon3-minimal"])
     def test_both_machines(self, name, timing, engine):
-        _, exe, image = build(name)
-        vr = VanillaMachine(exe, timing, engine=engine).run()
-        vp = VanillaMachine(exe, timing, engine="predecoded").run()
-        assert result_fields(vr) == result_fields(vp)
-        sr = SofiaMachine(image, KEYS, timing, engine=engine).run()
-        sp = SofiaMachine(image, KEYS, timing, engine="predecoded").run()
-        assert result_fields(sr) == result_fields(sp)
+        reference = reference_run(name, timing)
+        for kind, make in machines(name, timing).items():
+            assert result_fields(make(engine).run()) == reference[kind][0]
 
 
 class TestEngineSelection:
-    def test_default_is_predecoded(self):
+    def test_default_is_fused(self):
         _, exe, image = build("sort")
-        assert VanillaMachine(exe).engine == "predecoded"
-        assert SofiaMachine(image, KEYS).engine == "predecoded"
+        assert DEFAULT_ENGINE == "fused"
+        assert VanillaMachine(exe).engine == "fused"
+        assert SofiaMachine(image, KEYS).engine == "fused"
 
     def test_every_engine_selectable(self, engine):
         _, exe, image = build("sort")
@@ -167,17 +207,18 @@ class TestEngineSelection:
             VanillaMachine(exe, engine="jit")
         with pytest.raises(ValueError):
             resolve_engine("turbo")
-        assert resolve_engine(None) == "predecoded"
-        assert set(ENGINES) == {"predecoded", "reference", "batch",
-                                "fused"}
+        with pytest.raises(ValueError):
+            resolve_engine("predecoded")
+        assert resolve_engine(None) == "fused"
+        assert set(ENGINES) == {"reference", "fused", "batch"}
 
     def test_facade_engine_kwarg(self):
         from repro import core
         prog = core.build_assembly("main: li a0, 2\n add a0, a0, a0\n halt\n")
         exe = core.link_vanilla(prog)
         ref = core.run_vanilla(exe, engine="reference")
-        pre = core.run_vanilla(exe, engine="predecoded")
-        assert result_fields(ref) == result_fields(pre)
+        fast = core.run_vanilla(exe, engine="fused")
+        assert result_fields(ref) == result_fields(fast)
 
 
 # --- Hypothesis property tests -------------------------------------------
@@ -201,13 +242,10 @@ class TestRandomWordDifferential:
         exe = _word_program(words)
         ref = VanillaMachine(exe, engine="reference")
         ref_result = ref.run(max_instructions=3_000)
-        for engine in ("predecoded", "fused"):
-            other = VanillaMachine(exe, engine=engine)
-            other_result = other.run(max_instructions=3_000)
-            assert result_fields(ref_result) == result_fields(other_result)
-            assert ref.state.regs == other.state.regs
-            assert ref.state.pc == other.state.pc
-            assert ref.memory.ram == other.memory.ram
+        other = VanillaMachine(exe, engine="fused")
+        other_result = other.run(max_instructions=3_000)
+        assert result_fields(ref_result) == result_fields(other_result)
+        assert final_state(ref) == final_state(other)
 
 
 class TestRandomProgramDifferential:
@@ -221,11 +259,9 @@ class TestRandomProgramDifferential:
         exe = assemble(program)
         ref = VanillaMachine(exe, engine="reference")
         ref_fields = result_fields(ref.run(200_000))
-        for engine in ("predecoded", "fused"):
-            other = VanillaMachine(exe, engine=engine)
-            assert ref_fields == result_fields(other.run(200_000))
-            assert ref.state.regs == other.state.regs
-            assert ref.memory.ram == other.memory.ram
+        other = VanillaMachine(exe, engine="fused")
+        assert ref_fields == result_fields(other.run(200_000))
+        assert final_state(ref) == final_state(other)
 
     @given(source=assembly_programs(), nonce=st.integers(0, 0xFFFF))
     @settings(max_examples=10, deadline=None)
@@ -234,11 +270,9 @@ class TestRandomProgramDifferential:
         image = transform(program, KEYS, nonce=nonce)
         ref = SofiaMachine(image, KEYS, engine="reference")
         ref_fields = result_fields(ref.run(400_000))
-        for engine in ("predecoded", "fused"):
-            other = SofiaMachine(image, KEYS, engine=engine)
-            assert ref_fields == result_fields(other.run(400_000))
-            assert ref.state.regs == other.state.regs
-            assert ref.prev_pc == other.prev_pc
+        other = SofiaMachine(image, KEYS, engine="fused")
+        assert ref_fields == result_fields(other.run(400_000))
+        assert final_state(ref) == final_state(other)
 
 
 # --- cache-invalidation and plumbing parity -------------------------------
@@ -266,9 +300,21 @@ src:
 """
 
 
+@functools.lru_cache(maxsize=None)
+def classify_faults(engine):
+    """Per-specimen (model, outcome, status) of a small fault campaign."""
+    from repro.faults import run_campaign
+    workload, _, _ = build("sort")
+    results, _ = run_campaign(
+        workload.compile().program, KEYS, workload.expected_output,
+        per_model=2, seed=99, max_instructions=100_000, engine=engine)
+    return [(r.model, r.outcome, r.status) for r in results]
+
+
 class TestInvalidationParity:
     def test_self_modifying_code(self):
-        """A stale predecoded handler would replay the pre-patch nop."""
+        """A stale step handler or compiled run would replay the
+        pre-patch nop."""
         exe = assemble(parse(SELF_MODIFYING))
         assert_lockstep(lambda engine: VanillaMachine(exe, engine=engine))
         result = VanillaMachine(exe).run()
@@ -283,17 +329,7 @@ class TestInvalidationParity:
             lambda engine: EcbIsrMachine(exe, 0xBEEF2016CAFE, engine=engine))
 
     def test_fault_campaign_engine_parity(self, engine):
-        from repro.faults import run_campaign
-        workload, _, _ = build("sort")
-        program = workload.compile().program
-
-        def classify(eng):
-            results, summary = run_campaign(
-                program, KEYS, workload.expected_output, per_model=2,
-                seed=99, max_instructions=100_000, engine=eng)
-            return [(r.model, r.outcome, r.status) for r in results]
-
-        assert classify(engine) == classify("predecoded")
+        assert classify_faults(engine) == classify_faults("reference")
 
 
 class TestRenonceRotationLockstep:
@@ -324,10 +360,9 @@ class TestRenonceRotationLockstep:
 class TestProfileGridLockstep:
     """Every E17 design point (2 ciphers x 3 seal widths x both renonce
     policies) holds the fused engine to the same per-commit lockstep
-    contract as predecoded and the reference oracle — the fused cycle
-    constants are specialized per profile (seal geometry changes fetch
-    slots and block layout), so one point passing says nothing about the
-    others."""
+    contract as the reference oracle — the fused cycle constants are
+    specialized per profile (seal geometry changes fetch slots and block
+    layout), so one point passing says nothing about the others."""
 
     @pytest.mark.parametrize(
         "profile", profile_grid(),
@@ -337,15 +372,16 @@ class TestProfileGridLockstep:
         program = workload.compile().program
         image = transform(program, KEYS, nonce=NONCE, profile=profile)
         keys = KEYS.for_profile(profile)
-        pre = SofiaMachine(image, keys, engine="predecoded")
-        pre_result, pre_events = lockstep_trace(pre)
-        for engine in ("reference", "fused"):
-            other = SofiaMachine(image, keys, engine=engine)
-            other_result, other_events = lockstep_trace(other)
-            assert other_events == pre_events
-            assert result_fields(other_result) == result_fields(pre_result)
-            assert other.state.pc == pre.state.pc
-            assert other.prev_pc == pre.prev_pc
+        ref = SofiaMachine(image, keys, engine="reference")
+        ref_result, ref_events = lockstep_trace(ref)
+        other = SofiaMachine(image, keys, engine="fused")
+        other_result, other_events = lockstep_trace(other)
+        assert other_events == ref_events
+        assert result_fields(other_result) == result_fields(ref_result)
+        assert final_state(other) == final_state(ref)
+        unhooked = SofiaMachine(image, keys, engine="fused")
+        assert result_fields(unhooked.run()) == result_fields(ref_result)
+        assert final_state(unhooked) == final_state(ref)
 
 
 MID_BLOCK_TRAP = """
@@ -364,29 +400,181 @@ class TestMidRunTrapEquivalence:
     """A bus error / misaligned access in the middle of a fused run must
     leave registers, memory, cycles and the I-cache exactly as k stepped
     iterations would: the committed prefix (a1..a3 writes) stands, the
-    instruction after the faulting load never executes."""
+    instruction after the faulting load never executes.  A threshold of
+    1 compiles every run on entry, so the trap is raised inside a
+    compiled run; the default threshold keeps this one-shot code
+    interpreted."""
 
+    @pytest.mark.parametrize("threshold", [1, fused.COMPILE_THRESHOLD])
     @pytest.mark.parametrize("offset,reason", [
         (0, "bus error"),            # below data RAM, past code
         (2, "misaligned load"),      # rejects the fused fast-path guard
     ])
-    def test_vanilla_and_sofia_trap_prefix(self, offset, reason):
+    def test_vanilla_and_sofia_trap_prefix(self, offset, reason, threshold,
+                                           monkeypatch):
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", threshold)
         source = MID_BLOCK_TRAP.format(offset=offset)
         program = parse(source)
         exe = assemble(program)
         image = transform(program, KEYS, nonce=NONCE)
         for make in (lambda e: VanillaMachine(exe, engine=e),
                      lambda e: SofiaMachine(image, KEYS, engine=e)):
-            pre = make("predecoded")
-            pre_result = pre.run(10_000)
-            assert pre_result.status.name == "TRAP"
-            assert reason in pre_result.trap_reason
-            assert pre.state.regs[5:8] == [1, 2, 3]  # a1, a2, a3 (r5-r7)
-            for engine in ("reference", "fused"):
-                other = make(engine)
-                other_result = other.run(10_000)
-                assert (result_fields(other_result)
-                        == result_fields(pre_result))
-                assert other.state.regs == pre.state.regs
-                assert other.state.pc == pre.state.pc
-                assert other.memory.ram == pre.memory.ram
+            ref = make("reference")
+            ref_result = ref.run(10_000)
+            assert ref_result.status.name == "TRAP"
+            assert reason in ref_result.trap_reason
+            assert ref.state.regs[5:8] == [1, 2, 3]  # a1, a2, a3 (r5-r7)
+            other = make("fused")
+            other_result = other.run(10_000)
+            assert result_fields(other_result) == result_fields(ref_result)
+            assert final_state(other) == final_state(ref)
+
+
+class TestCompileOnFirstEntry:
+    """A threshold of 1 compiles every run on its first entry, so every
+    block and straight-line run of every workload executes compiled;
+    results and final state must still equal the reference oracle's."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_workloads(self, name, monkeypatch):
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
+        reference = reference_run(name)
+        for kind, make in machines(name).items():
+            other = make("fused")
+            assert (result_fields(other.run()), final_state(other)) \
+                == reference[kind]
+
+    def test_self_modifying_code_and_isr_baselines(self, monkeypatch):
+        from repro.baselines import EcbIsrMachine, XorIsrMachine
+        monkeypatch.setattr(fused, "COMPILE_THRESHOLD", 1)
+        smc = assemble(parse(SELF_MODIFYING))
+        _, exe, _ = build("sort")
+        for make in (lambda e: VanillaMachine(smc, engine=e),
+                     lambda e: XorIsrMachine(exe, 0xA5A5F00D, engine=e),
+                     lambda e: EcbIsrMachine(exe, 0xBEEF2016CAFE,
+                                             engine=e)):
+            ref, other = make("reference"), make("fused")
+            assert result_fields(other.run()) == result_fields(ref.run())
+            assert final_state(other) == final_state(ref)
+
+
+class _Counts(dict):
+    """Minimal telemetry sink: counter name -> total."""
+
+    def count(self, name, n=1):
+        self[name] = self.get(name, 0) + n
+
+
+@pytest.fixture
+def sim_counts():
+    """A counting telemetry sink seen by machines built in the test."""
+    previous = obs_hook.SIM
+    counts = _Counts()
+    obs_hook.install(counts)
+    try:
+        yield counts
+    finally:
+        obs_hook.install(previous)
+
+
+#: the body run at ``loop`` is entered ``iterations - 1`` times: the
+#: first iteration is part of the run that starts at ``main``
+WARM_LOOP = """
+main:
+    li t0, 0
+    li t1, {iterations}
+loop:
+    addi t0, t0, 1
+    add a0, a0, t0
+    bne t0, t1, loop
+    li a1, 0xFFFF0004
+    sw a0, 0(a1)
+    halt
+"""
+
+#: loads walk down from DATA_BASE + 4 * (k - 1): iteration k + 1 loads
+#: below data RAM and traps with a bus error
+TRAP_LOOP = """
+main:
+    li t0, 0
+    li t2, {start}
+loop:
+    addi t0, t0, 1
+    lw t1, 0(t2)
+    addi t2, t2, -4
+    bne t0, zero, loop
+    halt
+"""
+
+
+def _both_cores(source):
+    program = parse(source)
+    exe = assemble(program)
+    image = transform(program, KEYS, nonce=NONCE)
+    return (lambda e: VanillaMachine(exe, engine=e),
+            lambda e: SofiaMachine(image, KEYS, engine=e))
+
+
+class TestWarmUpGate:
+    """Runs stay interpreted until entered ``COMPILE_THRESHOLD`` times
+    (the vanilla core gained this gate with the single fast loop), and
+    the compile-crossing entry is bit-identical to stepping it."""
+
+    def test_one_shot_program_never_compiles(self, sim_counts):
+        for make in _both_cores(MID_BLOCK_TRAP.format(offset=4) + "\n"):
+            other = make("fused")
+            ref_result = make("reference").run(10_000)
+            assert result_fields(other.run(10_000)) == \
+                result_fields(ref_result)
+        assert sim_counts.get("sim.fused_compile", 0) == 0
+
+    def test_vanilla_threshold_is_exact(self, sim_counts):
+        threshold = fused.COMPILE_THRESHOLD
+        below, _ = _both_cores(WARM_LOOP.format(iterations=threshold))
+        assert below("fused").run().ok
+        assert sim_counts.get("sim.fused_compile", 0) == 0
+        at, _ = _both_cores(WARM_LOOP.format(iterations=threshold + 1))
+        assert at("fused").run().ok
+        assert sim_counts["sim.fused_compile"] == 1
+
+    def test_hot_loop_compiles_and_matches_reference(self, sim_counts):
+        for make in _both_cores(WARM_LOOP.format(iterations=200)):
+            compiles = sim_counts.get("sim.fused_compile", 0)
+            ref, other = make("reference"), make("fused")
+            ref_result = ref.run()
+            assert ref_result.ok
+            assert result_fields(other.run()) == result_fields(ref_result)
+            assert final_state(other) == final_state(ref)
+            assert sim_counts["sim.fused_compile"] > compiles
+
+    def test_budget_boundary_across_the_compile(self):
+        # the vanilla loop run compiles after ~5 + 15 * 3 instructions;
+        # every budget in the window stops before, on and after it,
+        # including inside a compiled run, and a resumed run finishes
+        for make in _both_cores(WARM_LOOP.format(iterations=40)):
+            for budget in range(40, 75):
+                ref, other = make("reference"), make("fused")
+                assert (result_fields(other.run(budget))
+                        == result_fields(ref.run(budget))), budget
+                assert final_state(other) == final_state(ref), budget
+                assert (result_fields(other.run())
+                        == result_fields(ref.run())), budget
+                assert final_state(other) == final_state(ref), budget
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_trap_on_compile_crossing_traversal(self, delta, sim_counts):
+        from repro.isa.program import DATA_BASE
+        k = fused.COMPILE_THRESHOLD + delta
+        source = TRAP_LOOP.format(start=DATA_BASE + 4 * (k - 1))
+        vanilla, sofia = _both_cores(source)
+        for make in (vanilla, sofia):
+            ref, other = make("reference"), make("fused")
+            ref_result = ref.run(10_000)
+            assert ref_result.status.name == "TRAP"
+            assert "bus error" in ref_result.trap_reason
+            assert result_fields(other.run(10_000)) == \
+                result_fields(ref_result)
+            assert final_state(other) == final_state(ref)
+        # vanilla: the loop run traps on entry k; entry THRESHOLD compiles
+        # it (delta 0 is the compile-crossing entry itself)
+        assert sim_counts.get("sim.fused_compile", 0) >= (delta >= 0)

@@ -9,7 +9,7 @@ Four contracts are pinned here:
   serialization, and 1-minimal (hence idempotent) reduction;
 * **deterministic replay** — the same campaign seed reproduces the
   same coverage map, corpus and verdicts, serial or parallel;
-* **planted bug** — corrupting one predecoded handler makes the
+* **planted bug** — corrupting one semantics-table entry makes the
   differential oracle flag, minimize and triage the divergence,
   proving the campaign would catch a real engine regression.
 """
@@ -170,23 +170,14 @@ class TestDeterministicReplay:
 
 @pytest.fixture
 def broken_xor_engine():
-    """Corrupt the predecoded ``xor`` handler (computes OR instead)."""
-    original = engine.COMPILERS["xor"]
-
-    def bad_xor(i):
-        rd, a, b = i.rd, i.rs1, i.rs2
-
-        def run(regs, memory, pc, rd=rd, a=a, b=b):
-            if rd:
-                regs[rd] = regs[a] | regs[b]
-            return None
-        return run
-
-    engine.COMPILERS["xor"] = bad_xor
+    """Corrupt the fast engine's ``xor`` (computes OR instead): the
+    semantics table feeds both the step handlers and compiled runs."""
+    original = engine.SEMANTICS["xor"]
+    engine.SEMANTICS["xor"] = engine.SEMANTICS["or"]
     try:
         yield
     finally:
-        engine.COMPILERS["xor"] = original
+        engine.SEMANTICS["xor"] = original
 
 
 XOR_SPECIMEN = Specimen(

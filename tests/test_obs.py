@@ -170,7 +170,7 @@ class TestTelemetry:
             telemetry.expect_tasks([0, 1])
             for index in telemetry.claim_indices(2):
                 telemetry.task_completed(
-                    (4321, 0.0, 0.25, {"sim.runs.predecoded": 1}),
+                    (4321, 0.0, 0.25, {"sim.runs.fused": 1}),
                     index)
         telemetry.finish()
         telemetry.finish()  # idempotent
@@ -187,7 +187,7 @@ class TestTelemetry:
 
         metrics = load_metrics(tmp_path / "tel")
         assert metrics["counters"]["tasks.completed"] == 2
-        assert metrics["counters"]["sim.runs.predecoded"] == 2
+        assert metrics["counters"]["sim.runs.fused"] == 2
 
         trace = json.loads((tmp_path / "tel" / "trace.json").read_text())
         assert any(e.get("ph") == "X" for e in trace["traceEvents"])
@@ -216,7 +216,8 @@ class TestTelemetry:
 class TestFusedTelemetry:
     """The fused engine honors the observability invariants: telemetry
     never changes an exported byte, per-engine throughput derives from
-    the counters, and cold superblock compiles are visible."""
+    the counters, cold superblock compiles are visible, and campaign
+    counters name the engine each core actually ran."""
 
     def test_fused_export_identical_telemetry_on_off(self, tmp_path):
         from repro.attacksynth import run_attacksynth
@@ -254,8 +255,23 @@ class TestFusedTelemetry:
         # crc32's inner loop crosses the hotness threshold, so at least
         # one superblock must have been source-compiled
         assert counters["sim.fused_compile"] > 0
-        baseline = SofiaMachine(image, keys, engine="predecoded")
+        baseline = SofiaMachine(image, keys, engine="reference")
         assert baseline.run(2_000_000).instructions == result.instructions
+
+    @pytest.mark.parametrize("engine", [None, "fused", "batch"])
+    def test_attacksynth_vanilla_targets_run_the_requested_engine(
+            self, tmp_path, capsys, engine):
+        argv = ["attacksynth", "--programs", "1", "--per-program", "3",
+                "--telemetry", str(tmp_path / "tel")]
+        if engine is not None:
+            argv += ["--engine", engine]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # batch warms the SOFIA front end only: plain cores run fused
+        counters = load_metrics(tmp_path / "tel")["counters"]
+        vanilla_runs = {name for name, value in counters.items()
+                        if name.startswith("sim.vanilla.runs.") and value}
+        assert vanilla_runs == {"sim.vanilla.runs.fused"}
 
     def test_stats_derives_per_engine_throughput(self, tmp_path):
         telemetry = Telemetry(directory=tmp_path / "tel")

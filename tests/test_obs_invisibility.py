@@ -64,7 +64,7 @@ class TestFaultInvisibility:
             "fault export differs between telemetry/jobs variants"
         assert counters["j1-on"] == counters["j4-on"]
         assert counters["j1-on"]["tasks.completed"] == 12  # 6 models x 2
-        assert counters["j1-on"]["sim.runs.predecoded"] > 0
+        assert counters["j1-on"]["sim.runs.fused"] > 0
 
 
 class TestAttacksynthInvisibility:

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 from repro.isa import Instruction
 from repro.isa.program import DATA_BASE
-from repro.sim import CPUState, Memory, execute, to_signed
+from repro.isa.instructions import SPECS
+from repro.sim import (DEFAULT_TIMING, CPUState, DirectMappedCache, Memory,
+                       execute, to_signed)
 from repro.sim.core import _trunc_div
+from repro.sim.engine import SEMANTICS, compile_step
+from repro.sim.fused import compile_vanilla_run
 
 I32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 S32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -116,8 +120,8 @@ class TestShiftImmediateMasking:
 
     The decoder rejects encoded shift amounts >= 32, so this only shows
     with hand-constructed instructions (fuzzers, fault models) — but the
-    two forms must agree there too, and the predecoded engine compiles
-    from the same contract.
+    two forms must agree there too, and the fast engine's step handlers
+    compile from the same contract.
     """
 
     VALUE = 0x80000001
@@ -137,15 +141,14 @@ class TestShiftImmediateMasking:
 
     @pytest.mark.parametrize("amount", [31, 32, 63])
     @pytest.mark.parametrize("name", ["slli", "srli", "srai"])
-    def test_predecoded_handler_agrees(self, machine_bits, name, amount):
-        from repro.sim.engine import compile_handler
+    def test_step_handler_agrees(self, machine_bits, name, amount):
         state, mem = machine_bits
         state.write(5, self.VALUE)
         instr = Instruction(name, rd=7, rs1=5, imm=amount)
         run_one(state, mem, instr)
         oracle = state.read(7)
         state.write(7, 0)
-        handler = compile_handler(instr)
+        handler = compile_step(instr)
         assert handler(state.regs, mem, 0) is None
         assert state.read(7) == oracle, (name, amount)
 
@@ -240,3 +243,54 @@ class TestControl:
     def test_halt(self, machine_bits):
         state, mem = machine_bits
         assert run_one(state, mem, Instruction("halt")).halted
+
+
+class TestSemanticsTable:
+    """The fast engine writes the ISA down once, in
+    :data:`repro.sim.engine.SEMANTICS`.  Both consumers of that table —
+    the step handlers and the fused run compiler — must agree with the
+    ``core.execute`` oracle on edge-case operands, including aliased
+    registers and the r0 rule."""
+
+    VALUES = (0, 1, 7, 0x7FFFFFFF, 0x80000000, 0xFFFFFFF9, 0xFFFFFFFF)
+    IMMS = (0, 3, -5, 0x7FFF, -0x8000)
+    #: (rd, rs1, rs2): distinct, rd aliasing each source, r0 destination
+    FORMS = ((7, 5, 6), (5, 5, 6), (6, 5, 6), (0, 5, 6))
+    PC = 0x100
+
+    def test_every_mnemonic_has_semantics(self):
+        assert set(SEMANTICS) == set(SPECS)
+
+    @pytest.mark.parametrize("mnemonic", sorted(
+        m for m, sem in SEMANTICS.items()
+        if sem.kind in ("op", "branch", "jump")))
+    def test_step_handler_and_compiled_run_match_oracle(self, mnemonic):
+        memory = Memory(code_words=[0] * 16)
+        icache = DirectMappedCache()
+        for imm in self.IMMS:
+            for rd, rs1, rs2 in self.FORMS:
+                instr = Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2,
+                                    imm=imm)
+                step = compile_step(instr)
+                run = compile_vanilla_run([instr], self.PC, DEFAULT_TIMING,
+                                          icache, memory)
+                for a in self.VALUES:
+                    for b in self.VALUES:
+                        self._check(instr, step, run, memory, icache, a, b)
+
+    def _check(self, instr, step, run, memory, icache, a, b):
+        state = CPUState.reset(entry=self.PC)
+        state.write(5, a)
+        state.write(6, b)
+        stepped, compiled = list(state.regs), list(state.regs)
+        outcome = execute(instr, state, memory, self.PC)
+        target = step(stepped, memory, self.PC)
+        _, _, _, _, code, arg = run(compiled, memory.load, memory.store,
+                                    memory.mmio, icache._tags, memory.ram)
+        where = (instr.render(), hex(a), hex(b))
+        assert stepped == state.regs, where
+        assert compiled == state.regs, where
+        assert target == outcome.next_pc, where
+        assert code == 1, where
+        assert arg == (outcome.next_pc if outcome.next_pc is not None
+                       else self.PC + 4), where

@@ -1,7 +1,7 @@
 """Machine-level tests: vanilla and SOFIA run loops, traps, violations.
 
 Behavioural tests take the shared ``engine`` fixture (tests/conftest.py)
-so every registered execution engine — reference, predecoded, batch —
+so every registered execution engine — reference, fused, batch —
 satisfies the same machine-level contract.
 """
 
@@ -212,3 +212,48 @@ class TestSofiaMachine:
         m, _ = build_sofia(COUNTER)
         text = m.run().summary()
         assert "status=" in text and "cycles=" in text
+
+
+class TestMachineLifetime:
+    """A dead machine is freed by reference counting: ``Memory`` holds
+    its machine's code-write listener weakly, so no machine -> memory ->
+    listener -> machine cycle waits for the cyclic collector with 1 MiB
+    of RAM and every compiled run attached."""
+
+    @staticmethod
+    def _machines():
+        from repro.baselines import EcbIsrMachine, XorIsrMachine
+        exe = assemble_text(COUNTER)
+        return {
+            "vanilla": lambda: VanillaMachine(exe),
+            "sofia": lambda: build_sofia(COUNTER)[0],
+            "xor": lambda: XorIsrMachine(exe, 0xA5A5F00D),
+            "ecb": lambda: EcbIsrMachine(exe, 0xBEEF2016CAFE),
+        }
+
+    @pytest.mark.parametrize("kind", ["vanilla", "sofia", "xor", "ecb"])
+    def test_dead_machine_freed_without_gc(self, kind):
+        import gc
+        import weakref
+        machine = self._machines()[kind]()
+        assert machine.run().status is Status.HALT
+        ref = weakref.ref(machine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del machine
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("kind", ["vanilla", "xor", "ecb"])
+    def test_code_write_still_invalidates_a_live_machine(self, kind):
+        machine = self._machines()[kind]()
+        machine.run()
+        assert machine._runs and machine._decoded
+        address = machine.executable.code_base
+        machine.memory.poke_code(address, machine.memory.fetch_word(address))
+        assert address not in machine._decoded
+        assert all(address not in range(start, start + 4 * run.n)
+                   for start, run in machine._runs.items())

@@ -94,6 +94,7 @@ def _steady(image, compile_runs, repeats=2):
         for _ in range(repeats):
             machine = SofiaMachine(image, KEYS)
             machine._block_cache = warm._block_cache
+            machine._block_edges = warm._block_edges
             machine._fused_edges = warm._fused_edges
             started = time.perf_counter()
             result = machine.run(BUDGET)

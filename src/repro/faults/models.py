@@ -66,10 +66,11 @@ class FetchGlitch(FaultSpec):
         original = machine.memory.fetch_word(self.address)
         machine.memory.poke_code(self.address, original ^ self.xor_mask)
 
-        # restore after one block traversal: hook the block cache flush
-        # (the poke cleared it; the next decrypt sees the glitched word).
-        # A subsequent poke restores memory and flushes again, modelling a
-        # transient that affected exactly one traversal window.
+        # restore after one block traversal: the poke dropped the glitched
+        # block's verdicts, so a traversal of that block re-decrypts and
+        # sees the glitched word.  A subsequent poke restores memory and
+        # drops them again, modelling a transient that affected exactly
+        # one traversal window.
         machine.pending_fetch_restore = (self.address, original)
         return f"fetch glitch @ 0x{self.address:08x} mask 0x{self.xor_mask:x}"
 

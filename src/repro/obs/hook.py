@@ -4,8 +4,8 @@ The simulators (:mod:`repro.sim.sofia`, :mod:`repro.sim.vanilla`,
 :mod:`repro.sim.batch`) report throughput and memo counters to whatever
 sink is installed here.  ``SIM`` is ``None`` by default; machines capture
 it **once at construction**, and every reporting site sits on a cold path
-(an uncached front-end decrypt, the end of a ``run()`` call, a lockstep
-fork) behind a single ``is not None`` check — with no sink installed the
+(an uncached front-end decrypt, a code write, the end of a ``run()``
+call, a lockstep fork) behind a single ``is not None`` check — with no sink installed the
 hot step loops are untouched and the simulators behave exactly like an
 uninstrumented build.  Instrumentation is *observational by contract*:
 a sink may count, never steer; the invisibility suite

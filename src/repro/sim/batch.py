@@ -62,8 +62,6 @@ def warm_front_end(machine: SofiaMachine) -> int:
     no static edge list to enumerate and warm nothing — the scalar lazy
     path still works, it just pays per edge.
     """
-    if machine._mac_cache is None:
-        machine._mac_cache = {}
     image = machine.image
     if not image.blocks:
         return 0
@@ -129,14 +127,13 @@ def adopt_caches(machine: SofiaMachine, donor: SofiaMachine) -> None:
     (renonce'd images keep their own), the seal memo the same keys and
     profile.  The per-(edge, code) block cache is never shared — it
     depends on the image words, which is exactly what attack instances
-    mutate.
+    mutate.  Code writes touch neither memo, so a machine that tampers
+    with its code keeps sharing them.
     """
     if (donor.keystream.nonce == machine.keystream.nonce
             and donor.keystream.cipher is machine.keystream.cipher):
         machine.keystream._cache = donor.keystream._cache
     if donor.keys is machine.keys and donor.profile == machine.profile:
-        if donor._mac_cache is None:
-            donor._mac_cache = {}
         machine._mac_cache = donor._mac_cache
 
 
@@ -146,9 +143,10 @@ def fork_machine(source: SofiaMachine) -> SofiaMachine:
     The architectural state (registers, PC, prevPC, code, RAM, MMIO logs,
     I-cache tags and stats, fault hooks) is copied; the pure keystream and
     seal memos are shared (additions are value-identical on every sharer,
-    and a code write detaches a machine onto a fresh keystream); the
-    block cache is copied, not shared — a specimen that tampers with code
-    clears and repopulates *its own* copy from its own memory.
+    and code writes never touch them); the block cache and its per-block
+    edge index are copied, not shared — a specimen that tampers with code
+    drops the written block's edges from *its own* copy and re-verifies
+    them from its own memory, leaving its siblings' copies intact.
     """
     clone = SofiaMachine(source.image, source.keys, timing=source.timing,
                          memoize=source.memoize, engine="fused",
@@ -170,6 +168,7 @@ def fork_machine(source: SofiaMachine) -> SofiaMachine:
     clone.icache.stats.misses = source.icache.stats.misses
     clone.keystream._cache = source.keystream._cache
     clone._block_cache = dict(source._block_cache)
+    clone._block_edges = dict(source._block_edges)
     clone._mac_cache = source._mac_cache
     clone.verify_skip_budget = source.verify_skip_budget
     clone.pending_fetch_restore = source.pending_fetch_restore

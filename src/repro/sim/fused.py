@@ -55,9 +55,9 @@ Register writes are in-place on the shared ``regs`` list, so the committed
 prefix needs no replay.
 
 Self-modifying code invalidates fused handlers exactly like step
-handlers: SOFIA handlers live on the ``_VerifiedBlock`` (dies with the
-block memo on any code write), vanilla handlers live in per-start-PC runs
-popped by the same code-write listener.  Stores always terminate a
+handlers: SOFIA handlers live on the ``_VerifiedBlock`` (dropped, with
+its edge's handler, by a write into that block), vanilla handlers live
+in per-start-PC runs popped by the same code-write listener.  Stores always terminate a
 vanilla run, so a code write can never outrun its own compiled suffix.
 """
 
@@ -182,8 +182,8 @@ def compile_sofia_block(block, timing: TimingParams, icache, memory,
                         block_bytes: int):
     """Compile one verified (``block.ok``) block into a run-handler.
 
-    The caller caches the handler on the block (any code write drops the
-    block and the handler with it).  Everything the driving loop needs —
+    The caller caches the handler on the block (a write into the block
+    drops the block and the handler with it).  Everything the driving loop needs —
     I-cache accounting, the seal-fetch charge, the successor edge key,
     the terminal status — comes back in the handler's return tuple; the
     block-level ``max(fetch, exec)`` bottleneck collapses to a constant

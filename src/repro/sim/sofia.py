@@ -16,8 +16,12 @@ every other offset is an invalid entry and pulls reset.
 
 Per-edge decrypt/verify results are memoized — a valid execution decrypts a
 given (prevPC, entry) pair identically every time, so loops pay for the
-cipher once.  Any write to program memory flushes the memo, exactly like
-hardware where each fetch re-decrypts and re-verifies.
+cipher once.  A verdict depends only on its edge and the words of its own
+block, so a write to program memory drops exactly the memoized edges
+whose fetch window lies in the written block: their next traversal
+re-decrypts and re-verifies the new words, as every hardware fetch does.
+The keystream memo (a pure function of cipher, nonce and edge) and the
+seal memo (keyed by the payload itself) survive code writes.
 
 Two loops execute verified blocks: the ``"reference"`` engine steps
 :func:`repro.sim.core.execute`, the semantics oracle, and the default
@@ -62,8 +66,8 @@ class _VerifiedBlock:
     violation: Optional[ViolationRecord] = None
     decode_failure: Optional[Tuple[int, str]] = None  # (slot, reason)
     #: everything an interpreted traversal needs, precompiled into one
-    #: tuple on the block's first traversal (dies with the block on any
-    #: code write); see ``SofiaMachine._compile_hot``
+    #: tuple on the block's first traversal (dies with the block on a
+    #: write into it); see ``SofiaMachine._compile_hot``
     hot: Optional[tuple] = None
     #: interpreted traversals so far; the ``COMPILE_THRESHOLD``-th one
     #: compiles ``fused``
@@ -111,6 +115,10 @@ class SofiaMachine:
         self.prev_pc = RESET_PREV_PC
         self._config = self.profile.to_config(code_base=image.code_base)
         self._block_cache: Dict[Tuple[int, int], _VerifiedBlock] = {}
+        #: block base -> the memoized edges whose fetch window lies in
+        #: that block, filled on memo misses only, so one code write
+        #: drops exactly the edges that fetched the written block
+        self._block_edges: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         #: flat edge -> compiled-handler memo so a hot traversal is a
         #: single dict probe (rebuilt lazily from the block memos; forks
         #: start empty but reuse the handlers shared via the blocks)
@@ -121,11 +129,12 @@ class SofiaMachine:
         #: restores program memory after the next block traversal.
         self.verify_skip_budget = 0
         self.pending_fetch_restore: Optional[Tuple[int, int]] = None
-        #: pure seal memo (kind, payload words) -> computed MAC, shared
-        #: across forked/donor machines by the batch engine; ``None``
-        #: keeps the scalar per-traversal recompute path
-        self._mac_cache: Optional[Dict[Tuple[str, Tuple[int, ...]],
-                                       Tuple[int, ...]]] = None
+        #: pure seal memo (kind, payload words) -> computed MAC; a
+        #: tampered payload is a different key, so it still re-MACs
+        self._mac_cache: Dict[Tuple[str, Tuple[int, ...]],
+                              Tuple[int, ...]] = {}
+        #: the batch engine warms the front end once, on the first run()
+        self._warm_pending = self.engine == "batch"
         #: optional tracing hook, called as on_commit(pc, instr) after each
         #: committed instruction (see repro.sim.trace)
         self.on_commit = None
@@ -134,11 +143,17 @@ class SofiaMachine:
         #: guarded by one ``is not None`` check, the hot loops never look
         self._obs = obs_hook.SIM
 
-    def _on_code_write(self, _address: int) -> None:
-        self._block_cache.clear()
-        self._fused_edges.clear()
-        self.keystream = EdgeKeystream(self.keys.encryption_cipher,
-                                       self.image.nonce)
+    def _on_code_write(self, address: int) -> None:
+        stale = self._block_edges.pop(self.image.block_base_of(address),
+                                      None)
+        if stale:
+            cache = self._block_cache
+            edges = self._fused_edges
+            for key in stale:
+                del cache[key]
+                edges.pop(key, None)
+            if self._obs is not None:
+                self._obs.count("sim.frontend.invalidations", len(stale))
 
     # -- the fetch/decrypt/verify unit -----------------------------------
 
@@ -170,6 +185,10 @@ class SofiaMachine:
                                                      force_accept=True)
         if self.memoize:
             self._block_cache[key] = block
+            if block.fetch_addresses:
+                # invalid-entry records fetch nothing: no write reaches them
+                index = self._block_edges
+                index[block.base] = index.get(block.base, ()) + (key,)
         return block
 
     def _decrypt_and_verify_uncached(self, prev_pc: int, entry_pc: int,
@@ -216,8 +235,7 @@ class SofiaMachine:
         # word chains on its canonical predecessor word.
         if obs is not None:
             keystream_cached = self.keystream.cache_size()
-            mac_cached = len(self._mac_cache) \
-                if self._mac_cache is not None else 0
+            mac_cached = len(self._mac_cache)
         plaintext = []
         for position, index in enumerate(word_indices):
             address = base + 4 * index
@@ -242,10 +260,9 @@ class SofiaMachine:
             obs.count("sim.keystream.words", len(word_indices))
             obs.count("sim.keystream.memo_misses",
                       self.keystream.cache_size() - keystream_cached)
-            if self._mac_cache is not None:
-                obs.count("sim.mac.memo_lookups")
-                obs.count("sim.mac.memo_misses",
-                          len(self._mac_cache) - mac_cached)
+            obs.count("sim.mac.memo_lookups")
+            obs.count("sim.mac.memo_misses",
+                      len(self._mac_cache) - mac_cached)
         mac_slots = self.profile.mac_words
         if expected != stored and not force_accept:
             run_hex = "".join(f"{w:08x}" for w in expected)
@@ -302,9 +319,10 @@ class SofiaMachine:
         if self.engine == "reference":
             result = self._run_reference(max_instructions)
         else:
-            if self.engine == "batch" and self._mac_cache is None:
+            if self._warm_pending:
                 # batch engine == the fused run loop over a front end
                 # warmed in one bit-sliced sweep (lazy import: cycle)
+                self._warm_pending = False
                 from .batch import warm_front_end
                 warm_front_end(self)
             result = self._run_fused(max_instructions)

@@ -225,6 +225,27 @@ class TestLockstepLeader:
         assert leader_fork.memory.code == SofiaMachine(image,
                                                        KEYS).memory.code
 
+    def test_code_write_in_one_fork_spares_its_siblings(self):
+        _, _, image = build("sort")
+        leader = LockstepLeader(image, KEYS)
+        tampered = leader.fork_at(200)
+        sibling = leader.fork_at(200)
+        blocks = dict(sibling._block_cache)
+        key = min(blocks)
+        base = blocks[key].base
+        tampered.memory.poke_code(base + 8, tampered.memory.fetch_word(
+            base + 8) ^ 1)
+        assert key not in tampered._block_cache
+        assert not tampered.decrypt_and_verify(*key).ok
+        # the sibling and the leader keep every verdict, and still match
+        # a fresh scalar run
+        assert sibling._block_cache == blocks
+        assert all(sibling._block_cache[k] is b for k, b in blocks.items())
+        assert leader.machine._block_cache.get(key) is blocks[key]
+        fresh = SofiaMachine(image, KEYS)
+        fresh.run(max_instructions=200)
+        assert result_fields(sibling.run()) == result_fields(fresh.run())
+
 
 class TestPeelOffMerge:
     def test_run_fault_batch_matches_scalar(self):

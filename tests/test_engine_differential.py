@@ -41,7 +41,8 @@ from repro.isa.encoding import encode, is_valid_word
 from repro.isa.program import CODE_BASE, Executable
 from repro.obs import hook as obs_hook
 from repro.sim import (DEFAULT_TIMING, LEON3_MINIMAL_TIMING, SofiaMachine,
-                       VanillaMachine, fused, run_executable, run_image)
+                       Status, VanillaMachine, fused, run_executable,
+                       run_image)
 from repro.sim.engine import DEFAULT_ENGINE, ENGINES, resolve_engine
 from repro.transform import profile_grid, transform
 from repro.workloads import make_workload, workload_names
@@ -319,6 +320,41 @@ class TestInvalidationParity:
         assert_lockstep(lambda engine: VanillaMachine(exe, engine=engine))
         result = VanillaMachine(exe).run()
         assert result.output_ints == [7]
+
+    def test_sofia_code_writes_match_the_unmemoized_oracle(self):
+        """The bend instance of the default ``run_attacksynth(20)``
+        campaign that runs to its budget while storing into code (victim
+        nonce 43545, sealed edge 0x404 -> 0x408), replayed for 5,000
+        instructions.  Memoized machines keep every verdict the writes
+        leave valid; unmemoized ones re-verify every traversal; all four
+        runs must agree.  (Which verdicts a write drops is pinned by
+        ``test_sim_machines``' drops-only test.)"""
+        from repro.attacksynth.campaign import DEFAULT_SEED, _campaign_genomes
+        from repro.fuzz.generators import generate
+        from repro.fuzz.oracle import build_program
+        from repro.runner.cache import DEFAULT_KEY_SEED
+        from repro.transform.profile import DEFAULT_PROFILE
+        genome = _campaign_genomes(20, DEFAULT_SEED, None)[1][1]
+        assert genome.nonce == 43545
+        keys = DeviceKeys.from_seed(DEFAULT_KEY_SEED).for_profile(
+            DEFAULT_PROFILE)
+        image = transform(
+            build_program(generate(genome)), keys, nonce=genome.nonce,
+            profile=DEFAULT_PROFILE.with_block_words(genome.block_words))
+        runs = []
+        for engine in ("reference", "fused"):
+            for memoize in (True, False):
+                machine = SofiaMachine(image, keys, engine=engine,
+                                       memoize=memoize)
+                machine.prev_pc, machine.state.pc = 0x404, 0x408
+                writes = []
+                machine.memory.add_code_listener(writes.append)
+                result = machine.run(max_instructions=5_000)
+                assert writes, "the replay must store into code"
+                runs.append((result_fields(result), final_state(machine),
+                             machine.memory.code, writes))
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][0][0] is Status.LIMIT
 
     def test_isr_baselines_both_engines(self):
         from repro.baselines import EcbIsrMachine, XorIsrMachine

@@ -258,6 +258,34 @@ class TestFusedTelemetry:
         baseline = SofiaMachine(image, keys, engine="reference")
         assert baseline.run(2_000_000).instructions == result.instructions
 
+    def test_attacksynth_counts_code_write_invalidations(self):
+        # a victim that overwrites its own, already verified, entry block
+        # and never returns to it: the clean run still halts, and the
+        # write drops that block's verdict
+        from repro.attacksynth import run_attacksynth_image
+        from repro.crypto.keys import DeviceKeys
+        from repro.isa import parse
+        from repro.transform import transform
+        source = """
+        main:
+            li t0, 0
+            li t1, 0x12345678
+            sw t1, 0(t0)
+            li t2, 0xFFFF0004
+            li t3, 42
+            sw t3, 0(t2)
+            halt
+        """
+        keys = DeviceKeys.from_seed(0x50F1A)
+        image = transform(parse(source), keys, nonce=0x2016)
+        telemetry = Telemetry()
+        with obs.campaign(telemetry, "attacksynth", {}):
+            report = run_attacksynth_image(image, per_program=4,
+                                           key_seed=0x50F1A)
+        assert report.instances and not report.build_errors
+        counters = telemetry.metrics.counters
+        assert counters["sim.frontend.invalidations"] > 0
+
     @pytest.mark.parametrize("engine", [None, "fused", "batch"])
     def test_attacksynth_vanilla_targets_run_the_requested_engine(
             self, tmp_path, capsys, engine):

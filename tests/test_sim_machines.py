@@ -169,12 +169,41 @@ class TestSofiaMachine:
         assert r1.output_ints == r2.output_ints
         assert r1.cycles == r2.cycles
 
-    def test_code_write_flushes_block_cache(self):
-        m, image = build_sofia(COUNTER)
-        m.run(max_instructions=20)
-        assert m._block_cache
-        m.memory.poke_code(image.code_base, image.words[0])
-        assert not m._block_cache
+    def test_code_write_drops_only_the_written_block(self, engine):
+        m, image = build_sofia(COUNTER, engine=engine)
+        assert m.run().status is Status.HALT
+        target = image.symbols["loop"] + 8   # M2, fetched on every path
+        base = image.block_base_of(target)
+        blocks = dict(m._block_cache)
+        handlers = dict(m._fused_edges)
+        written = {key for key, block in blocks.items() if block.base == base}
+        assert written and len(written) < len(blocks)
+        if engine != "reference":
+            # the hot loop block was compiled, and so must be dropped
+            assert written & handlers.keys()
+        keystream, words = m.keystream, dict(m.keystream._cache)
+        seals, macs = m._mac_cache, dict(m._mac_cache)
+        m.memory.poke_code(target, 0x12345678)
+        # exactly the written block's edges and handlers go ...
+        survivors = {key: block for key, block in blocks.items()
+                     if key not in written}
+        assert m._block_cache.keys() == survivors.keys()
+        assert all(m._block_cache[key] is block
+                   for key, block in survivors.items())
+        assert m._fused_edges == {key: fn for key, fn in handlers.items()
+                                  if key not in written}
+        # ... and the pure keystream and seal memos stay
+        assert m.keystream is keystream and keystream._cache == words
+        assert m._mac_cache is seals and seals == macs
+        # the next traversal of the block re-verifies against the new words
+        for key in sorted(written):
+            assert not m.decrypt_and_verify(*key).ok
+        m.prev_pc, m.state.pc = min(written)
+        r = m.run()
+        assert r.status is Status.RESET
+        assert r.violation.kind == "integrity"
+        m.memory.poke_code(target, image.words[(target - image.code_base) // 4])
+        assert all(m.decrypt_and_verify(*key).ok for key in written)
 
     def test_runtime_injection_detected(self, engine):
         # tamper *while running*: the next traversal of the loop block

@@ -1,8 +1,9 @@
 """E18 — batch-lockstep campaign throughput (specimens/sec).
 
-Acceptance gate for the bit-sliced batch engine (:mod:`repro.sim.batch`):
-on a detect-heavy fault population — the protected-surface models the
-paper's CFI argument is about — the lockstep-batched campaign must
+Acceptance gate for lockstep fault campaigns (:mod:`repro.sim.batch`,
+the only path ``run_campaign`` takes): on a detect-heavy fault
+population — the protected-surface models the paper's CFI argument is
+about — the lockstep-batched campaign must
 deliver >= 5x specimens/sec over per-specimen scalar runs (stretch:
 >= 10x on a pure-PCGlitch population) while every merged
 :class:`~repro.faults.campaign.FaultResult` stays field-for-field
@@ -13,11 +14,11 @@ instructions across specimens, the lockstep leader pays ``max(t_i)``
 once.  Detected specimens reset within a block of their trigger, so
 detect-heavy populations (CodeBitFlip, PCGlitch) are prefix-dominated
 and batch-friendly; MASKED specimens run their whole suffix on the
-scalar engine, so mixed-model populations land lower — both regimes are
-printed below.  E16's attack-synthesis sweep reuses the warmed front end
-through donor cache adoption, where plain-target runs and image
-re-encryption dominate; its (modest) speedup is reported, identity
-enforced, no floor asserted.
+default engine, so mixed-model populations land lower — both regimes are
+printed below.  E16's attack instances reuse the clean machine's warmed
+front end through donor cache adoption, where image re-encryption and
+the instance runs themselves dominate; the donor's (modest) speedup is
+reported, identity enforced, no floor asserted.
 
 ``test_batch_lockstep_smoke`` is the cheap CI guard: identity only, no
 timing.  The full gate (``test_fault_campaign_speedup``) prints the E18
@@ -31,7 +32,8 @@ import time
 from repro.crypto import DeviceKeys
 from repro.eval.export import batch_csv, batch_json
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
-from repro.sim import SofiaMachine
+from repro.sim import DEFAULT_ENGINE, SofiaMachine
+from repro.sim.batch import warm_front_end
 from repro.transform import transform
 from repro.transform.profile import profile_grid
 from repro.workloads import make_workload
@@ -166,7 +168,7 @@ def test_fault_campaign_speedup(tmp_path, bench_environment):
                        "models": sorted(PROTECTED_MODELS)},
         "workloads": sorted(r["workload"] for r in rows),
         "identical": all(r["identical"] for r in rows),
-        "environment": bench_environment(engine="batch"),
+        "environment": bench_environment(engine=DEFAULT_ENGINE),
     }
     text = batch_json(record, tmp_path / "e18_batch.json")
     assert json.loads(text)["identical"] is True
@@ -179,22 +181,39 @@ def test_fault_campaign_speedup(tmp_path, bench_environment):
 
 
 def test_attacksynth_donor_speedup():
-    """E16 sweep under ``--engine batch``: identical SynthReport record,
-    donor-cache speedup reported (plain-target runs dominate; no floor)."""
-    from repro.attacksynth.campaign import run_attacksynth_image
+    """E16 attack instances with and without a warmed donor: identical
+    classifications, donor speedup reported (no floor)."""
+    from repro.attacksynth.classify import (SOFIA_BUDGET, observables,
+                                            run_sofia_instance)
+    from repro.attacksynth.enumerate import enumerate_instances
+    from repro.isa import assemble
+    from repro.runner import task_rng
 
-    _, image, _ = _build("crc32", "small")
+    workload, image, keys = _build("crc32", "small")
+    machine = SofiaMachine(image, keys)
+    traversed = set()
+    machine.on_commit = lambda pc, _instr: traversed.add(
+        image.block_base_of(pc))
+    clean = observables(machine.run(SOFIA_BUDGET))
+    instances = enumerate_instances(
+        image, assemble(workload.compile().program), keys, traversed,
+        task_rng(SEED, "attacksynth"), key_seed=0xBEEF2016)[:160]
+    assert instances
+
+    def sweep(donor):
+        return [run_sofia_instance(instance, image, keys, clean,
+                                   donor=donor) for instance in instances]
+
     started = time.perf_counter()
-    scalar = run_attacksynth_image(image, seed=SEED, per_program=160,
-                                   key_seed=0xBEEF2016)
-    t_scalar = time.perf_counter() - started
+    cold = sweep(None)
+    t_cold = time.perf_counter() - started
     started = time.perf_counter()
-    batch = run_attacksynth_image(image, seed=SEED, per_program=160,
-                                  key_seed=0xBEEF2016, engine="batch")
-    t_batch = time.perf_counter() - started
-    assert scalar.to_record() == batch.to_record()
-    n = scalar.instances
-    assert n > 0
+    donor = SofiaMachine(image, keys)
+    warm_front_end(donor)
+    shared = sweep(donor)
+    t_shared = time.perf_counter() - started
+    assert shared == cold
+    n = len(instances)
     print(f"\nattacksynth (E16): {n} instances, "
-          f"scalar {n / t_scalar:,.1f}/s, batch {n / t_batch:,.1f}/s "
-          f"({t_scalar / t_batch:.2f}x)")
+          f"cold {n / t_cold:,.1f}/s, donor {n / t_shared:,.1f}/s "
+          f"({t_cold / t_shared:.2f}x, warm-up included)")

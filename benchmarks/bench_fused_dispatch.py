@@ -25,9 +25,9 @@ the regime the gate models.
 The second test re-runs E18's mixed-model regime: MASKED fault
 specimens "peel off" the lockstep batch and run their whole suffix on a
 scalar engine.  That suffix now runs fused (:func:`fork_machine` forks
-onto ``engine="fused"``), so the suffix cost drops and the mixed-model
-speedup — E18's weak regime — improves; results stay field-for-field
-identical to per-specimen scalar runs.
+onto its leader's engine, the default ``"fused"``), so the suffix cost
+drops and the mixed-model speedup — E18's weak regime — improves;
+results stay field-for-field identical to per-specimen scalar runs.
 
 ``test_fused_dispatch_smoke`` is the cheap CI guard: identity only, no
 timing.

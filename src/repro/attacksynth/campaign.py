@@ -39,6 +39,7 @@ from ..runner import (ResultStore, ShardSpec, run_tasks, run_tasks_stored,
                       task_key, task_rng)
 from ..runner.cache import DEFAULT_KEY_SEED
 from ..security.bounds import EmpiricalCheck, empirical_check
+from ..sim.batch import warm_front_end
 from ..sim.sofia import SofiaMachine
 from ..sim.vanilla import VanillaMachine
 from ..transform.image import SofiaImage
@@ -79,11 +80,12 @@ def _clean_sofia(image: SofiaImage, keys: DeviceKeys,
                  engine: Optional[str] = None):
     """Clean run + the traversed block bases + the machine itself.
 
-    With ``engine="batch"`` the clean machine bit-slice-warms the image's
-    whole front end on its first ``run()``; the caller then reuses it as
-    the cache donor for every attack-instance machine.
+    The clean machine bit-slice-warms the image's whole front end before
+    it runs; the caller then reuses it as the cache donor for every
+    attack-instance machine.
     """
     machine = SofiaMachine(image, keys, engine=engine)
+    warm_front_end(machine)
     traversed = set()
     block_base_of = image.block_base_of
     machine.on_commit = lambda pc, _instr: traversed.add(block_base_of(pc))
@@ -97,7 +99,7 @@ def _program_label(index: int, genome: Genome) -> str:
 
 
 def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
-                           clean_obs, donor=None
+                           clean_obs, donor: SofiaMachine
                            ) -> Tuple[InstanceResult, bool]:
     """Run one instance on the SOFIA core into a fresh result record."""
     result = InstanceResult(
@@ -105,7 +107,7 @@ def _sofia_instance_result(instance, image: SofiaImage, keys: DeviceKeys,
         description=instance.description, expected=instance.expected,
         expected_plain=instance.expected_plain)
     sofia_out, hijacked, violation, edge_ok = run_sofia_instance(
-        instance, image, keys, clean_obs, donor=donor)
+        instance, image, keys, clean_obs, donor=donor, engine=donor.engine)
     result.outcomes[TARGET_SOFIA] = sofia_out
     result.violation = violation
     result.edge_ok = edge_ok
@@ -130,22 +132,17 @@ def _synth_task(task: Tuple[int, Genome]) -> ProgramOutcome:
         return outcome
     outcome.blocks = image.num_blocks
 
-    # batch warms the SOFIA front end only; the plain cores (vanilla and
-    # the ISR baselines built on it) run every other engine as requested
-    plain_engine = None if engine == "batch" else engine
     plain_targets = [(TARGET_VANILLA,
-                      lambda: VanillaMachine(exe, engine=plain_engine))]
+                      lambda: VanillaMachine(exe, engine=engine))]
     if include_baselines:
         plain_targets.append(
             (TARGET_XOR, lambda: XorIsrMachine(exe, xor_key,
-                                               engine=plain_engine)))
+                                               engine=engine)))
         plain_targets.append(
             (TARGET_ECB, lambda: EcbIsrMachine(exe, ecb_key,
-                                               engine=plain_engine)))
+                                               engine=engine)))
 
-    sofia_clean, traversed, clean_machine = _clean_sofia(image, keys,
-                                                         engine=engine)
-    donor = clean_machine if engine == "batch" else None
+    sofia_clean, traversed, donor = _clean_sofia(image, keys, engine=engine)
     plain_clean = {}
     for name, make in plain_targets:
         plain_clean[name] = make().run(max_instructions=PLAIN_BUDGET)
@@ -399,10 +396,12 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
     still picks the block geometry); the enumerator and the §IV-A bound
     cross-check adapt to the image's actual profile.
 
-    ``engine="batch"`` bit-slice-warms each victim's front end once on
-    the clean run and shares the pure keystream/seal memos with every
-    attack-instance machine; the report and its exports stay
-    byte-identical (the export carries no engine field by design).
+    Each victim's front end is bit-slice-warmed once, on the clean
+    machine, whose pure keystream/seal memos every attack-instance
+    machine then shares.  ``engine`` picks the execution engine of every
+    machine (``"reference"`` runs the oracle); the report and its
+    exports are byte-identical either way (the export carries no engine
+    field by design).
 
     ``store_dir`` memoizes each program's full :class:`ProgramOutcome`
     in a persistent :class:`~repro.runner.store.ResultStore` (one entry
@@ -460,8 +459,7 @@ def run_attacksynth(programs: int = DEFAULT_PROGRAMS, *,
 def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
                           per_program: Optional[int] = None,
                           key_seed: int = DEFAULT_KEY_SEED,
-                          export_path=None, csv_path=None,
-                          engine: Optional[str] = None) -> SynthReport:
+                          export_path=None, csv_path=None) -> SynthReport:
     """Observational sweep over one explicit (metadata-less) image.
 
     Deserialized images carry no layout metadata, so enumeration is
@@ -476,8 +474,9 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
                          profile=image.profile)
     outcome = ProgramOutcome(index=0, label="image")
     outcome.blocks = image.num_blocks
-    clean_machine = SofiaMachine(image, keys, engine=engine)
-    clean = clean_machine.run(max_instructions=SOFIA_BUDGET)
+    donor = SofiaMachine(image, keys)
+    warm_front_end(donor)
+    clean = donor.run(max_instructions=SOFIA_BUDGET)
     if not clean.ok:
         # without a clean baseline every mutated run "detects" too — a
         # wrong key seed must be an error, not a perfect-looking matrix
@@ -488,7 +487,6 @@ def run_attacksynth_image(image: SofiaImage, *, seed: int = DEFAULT_SEED,
         report.elapsed_seconds = time.perf_counter() - started
         return report
     clean_obs = observables(clean)
-    donor = clean_machine if engine == "batch" else None
     rng = task_rng(seed, "attacksynth-image")
     instances = enumerate_geometric(image, rng)
     if per_program is not None:

@@ -27,6 +27,7 @@ from typing import Optional, Tuple
 
 from ..attacks.victim import UNLOCK_VALUE
 from ..crypto.keys import DeviceKeys
+from ..sim.batch import adopt_caches
 from ..sim.result import ExecutionResult, Status
 from ..sim.sofia import SofiaMachine
 from ..transform.image import SofiaImage
@@ -89,23 +90,24 @@ def materialize_image(instance: AttackInstance, image: SofiaImage,
 def run_sofia_instance(instance: AttackInstance, image: SofiaImage,
                        keys: DeviceKeys, clean: Observables,
                        max_instructions: int = SOFIA_BUDGET,
-                       donor: Optional[SofiaMachine] = None
+                       donor: Optional[SofiaMachine] = None,
+                       engine: Optional[str] = None
                        ) -> Tuple[str, bool, Optional[str], Optional[bool]]:
-    """Run one instance on the SOFIA core.
+    """Run one instance on the SOFIA core, on ``engine``.
 
     Returns ``(outcome, hijacked, violation_kind, edge_ok)`` where
     ``edge_ok`` (bend instances only) reports whether the *bent edge
     itself* passed the decrypt/verify front-end — a reset on the very
     first block traversal means it did not.
 
-    ``donor`` (batch-engine campaigns) seeds the instance machine's pure
-    keystream/seal memos from an already-warmed clean machine via
+    ``donor`` seeds the instance machine's pure keystream/seal memos
+    from an already-warmed clean machine via
     :func:`~repro.sim.batch.adopt_caches`; the sharing rules there
     guarantee the classification is byte-identical to a cold run.
     """
-    machine = SofiaMachine(materialize_image(instance, image, keys), keys)
+    machine = SofiaMachine(materialize_image(instance, image, keys), keys,
+                           engine=engine)
     if donor is not None:
-        from ..sim.batch import adopt_caches
         adopt_caches(machine, donor)
     if instance.entry_pc is not None:
         machine.state.pc = instance.entry_pc

@@ -33,11 +33,12 @@ fan their campaigns across N worker processes via :mod:`repro.runner`
 (``--jobs 0`` means one per CPU; the default of 1 runs the bit-identical
 serial path).  ``run`` and ``run-protected`` accept ``--engine`` with
 any registered engine (:data:`repro.sim.engine.ENGINES`) to pin the
-execution engine; ``fuzz``, ``attacksynth`` and ``dse`` accept
-``--engine`` with any campaign-grade engine
-(:data:`repro.sim.engine.CAMPAIGN_ENGINES` — the default fused engine
-of :mod:`repro.sim.fused` or the bit-sliced batch engine of
-:mod:`repro.sim.batch`); results are bit-identical either way.
+execution engine; results are bit-identical either way.  The campaign
+commands take no ``--engine``: they run the default engine, attack
+synthesis (also inside ``dse``) shares one bit-slice-warmed front end
+per victim with every attack machine, ``fault`` runs its specimens in
+lockstep groups (:mod:`repro.sim.batch`), and ``fuzz`` holds the
+reference oracle to the default engine on every specimen.
 ``dse --hw`` folds the profile-derived hardware cost model
 (:mod:`repro.hwmodel.profilecost`) into the sweep —
 ``--unroll LIST`` picks the cipher unroll factors (default ``min``, each
@@ -82,7 +83,7 @@ from .eval import (experiment_adpcm, experiment_blocksize,
                    experiment_workloads, format_overhead_rows,
                    render_blocksize, render_muxtree, render_unroll)
 from .isa.disassembler import dump
-from .sim.engine import CAMPAIGN_ENGINES, DEFAULT_ENGINE, ENGINES
+from .sim.engine import DEFAULT_ENGINE, ENGINES
 from .sim.trace import list_image, trace_vanilla
 from .sim.vanilla import VanillaMachine
 from .transform.config import TransformConfig
@@ -312,21 +313,19 @@ def cmd_attacksynth(args) -> int:
         report = run_attacksynth_image(
             image, seed=args.seed, per_program=args.per_program,
             key_seed=args.key_seed, export_path=args.export,
-            csv_path=args.csv, engine=args.engine)
+            csv_path=args.csv)
     else:
         programs = args.programs if args.programs is not None else 200
         telemetry = _make_telemetry(args)
         with obs.campaign(telemetry, "attacksynth",
                           {"programs": programs, "seed": args.seed,
-                           "jobs": args.jobs,
-                           "engine": args.engine or DEFAULT_ENGINE}):
+                           "jobs": args.jobs}):
             report = run_attacksynth(
                 programs, seed=args.seed, per_program=args.per_program,
                 parallel=parallel, jobs=jobs, corpus_dir=args.corpus,
                 include_baselines=args.baselines, key_seed=args.key_seed,
                 profile=profile, export_path=args.export,
-                csv_path=args.csv, engine=args.engine,
-                store_dir=args.resume, shard=args.shard,
+                csv_path=args.csv, store_dir=args.resume, shard=args.shard,
                 telemetry=telemetry)
     if report.instances == 0 and report.complete:
         for label, error in report.build_errors:
@@ -380,15 +379,13 @@ def cmd_dse(args) -> int:
     telemetry = _make_telemetry(args)
     with obs.campaign(telemetry, "dse",
                       {"profiles": len(profiles), "seed": args.seed,
-                       "scale": args.scale, "jobs": args.jobs,
-                       "engine": args.engine or DEFAULT_ENGINE}):
+                       "scale": args.scale, "jobs": args.jobs}):
         report = run_dse(profiles, seed=args.seed, key_seed=args.key_seed,
                          scale=args.scale, programs=args.programs,
                          per_model=args.per_model, parallel=parallel,
                          jobs=jobs, export_path=args.export,
-                         csv_path=args.csv, engine=args.engine,
-                         store_dir=args.resume, shard=args.shard,
-                         telemetry=telemetry, **kwargs)
+                         csv_path=args.csv, store_dir=args.resume,
+                         shard=args.shard, telemetry=telemetry, **kwargs)
     print(report.render())
     if not report.complete:
         _shard_note(args, f"{len(report.points)} design point(s) "
@@ -410,15 +407,13 @@ def cmd_fuzz(args) -> int:
     telemetry = _make_telemetry(args)
     with obs.campaign(telemetry, "fuzz",
                       {"seeds": args.seeds, "seed": args.seed,
-                       "batch": args.batch, "jobs": args.jobs,
-                       "engine": args.engine or DEFAULT_ENGINE}):
+                       "batch": args.batch, "jobs": args.jobs}):
         report = run_fuzz(seeds=args.seeds, seed=args.seed,
                           batch=args.batch,
                           parallel=parallel, jobs=jobs,
                           corpus_dir=args.corpus,
                           time_budget=args.time_budget,
                           include_baselines=args.baselines,
-                          engine=args.engine,
                           store_dir=args.resume, shard=args.shard,
                           telemetry=telemetry)
     print(report.render())
@@ -458,14 +453,13 @@ def cmd_fault(args) -> int:
     with obs.campaign(telemetry, "fault",
                       {"workload": args.workload, "scale": args.scale,
                        "per_model": args.per_model, "seed": args.seed,
-                       "jobs": args.jobs,
-                       "engine": args.engine or DEFAULT_ENGINE}):
+                       "jobs": args.jobs}):
         results, summary = run_fault_campaign(
             victim.compile().program, keys, victim.expected_output,
             per_model=args.per_model, seed=args.seed,
             parallel=parallel, jobs=jobs, export_path=args.export,
-            engine=args.engine, profile=profile,
-            store_dir=args.resume, shard=args.shard, telemetry=telemetry)
+            profile=profile, store_dir=args.resume, shard=args.shard,
+            telemetry=telemetry)
     print(summary.render())
     if any(result is None for result in results):
         _shard_note(args, f"{sum(r is not None for r in results)} "
@@ -669,9 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="SPEC",
                    help="seal the victims under this design point "
                         "(e.g. present-80:mac32:fixed)")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="route the campaign through this engine "
-                        "(results are byte-identical)")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_attacksynth)
@@ -706,9 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the sweep record as canonical JSON")
     p.add_argument("--csv", metavar="FILE",
                    help="write the Pareto table as CSV")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="route each point's campaigns through this "
-                        "engine (byte-identical)")
     p.add_argument("--hw", action="store_true",
                    help="fold the hardware axes in: per-point area/clock "
                         "from the profile cost model and the unified "
@@ -739,11 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="specimens per scheduling round (default 50)")
     p.add_argument("--baselines", action="store_true",
                    help="also lockstep the XOR/ECB ISR baseline machines")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="widen the SOFIA engine axis to a three-way "
-                        f"reference/{DEFAULT_ENGINE}/ENGINE lockstep "
-                        f"(the default engine, {DEFAULT_ENGINE}, adds "
-                        "nothing)")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_fuzz)
@@ -767,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="SPEC",
                    help="seal the victim under this design point "
                         "(e.g. present-80:mac32:fixed)")
-    p.add_argument("--engine", choices=CAMPAIGN_ENGINES, default=None,
-                   help="route the specimens through this lockstep "
-                        "engine (results are byte-identical)")
     _add_store_args(p)
     _add_obs_args(p)
     p.set_defaults(func=cmd_fault)

@@ -1,8 +1,9 @@
 """Bit-sliced batch evaluation of RECTANGLE-80 and PRESENT-80.
 
-The batch simulation engine (:mod:`repro.sim.batch`) wants to pay the
-cipher's Python interpretation overhead once per *batch* of blocks, not
-once per block.  Both ciphers are substitution-permutation networks over
+Campaigns warm a machine's whole front end in one sweep
+(:func:`repro.sim.batch.warm_front_end`) and want to pay the cipher's
+Python interpretation overhead once per *batch* of blocks, not once per
+block.  Both ciphers are substitution-permutation networks over
 4-bit S-boxes, so the classic bit-slicing transform applies: pack bit
 ``b`` of up to :data:`WIDTH` independent blocks ("lanes") into one
 Python big-int plane, then run the round function on planes — XORs for
@@ -27,7 +28,8 @@ Layouts
   into 4 nibble-indexed wides for the shared circuit.
 
 Correctness is gated lane-for-lane against the scalar ciphers
-(including PRESENT's published vector) by the batch differential suite.
+(including PRESENT's published vector) by the lockstep differential
+suite (``tests/test_batch_differential.py``).
 """
 
 from __future__ import annotations

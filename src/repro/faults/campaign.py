@@ -15,13 +15,15 @@ silent corruption and hijacks into detection; faults on the unprotected
 surface (register file, a glitched MAC comparator) can still cause SDC —
 quantifying exactly where the paper's guarantee ends.
 
-Campaigns are embarrassingly parallel: every specimen runs a fresh
-machine against the same shared image.  ``run_campaign(parallel=True,
-jobs=N)`` fans the specimen list across a process pool via
-:mod:`repro.runner`; the image is built once in the parent and shipped
-to each worker through the pool initializer, and results come back in
-specimen order, so parallel classification counts are byte-identical to
-the serial ones.
+Every specimen replays the same clean prefix of the same image, so the
+campaign runs them in lockstep groups (:mod:`repro.sim.batch`): one
+leader machine runs the prefix once and each specimen forks off at its
+trigger, byte-identical to a fresh per-specimen :func:`run_fault`.
+``run_campaign(parallel=True, jobs=N)`` fans the groups across a process
+pool via :mod:`repro.runner`; the image is built once in the parent and
+shipped to each worker through the pool initializer, and results come
+back in specimen order, so parallel classification counts are
+byte-identical to the serial ones.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto.keys import DeviceKeys
 from ..isa.program import AsmProgram
 from ..obs import phase as obs_phase
 from ..runner import (ResultStore, ShardSpec, campaign_record,
-                      make_batches, resolve_jobs, run_tasks,
-                      run_tasks_stored, task_key, write_campaign)
-from ..sim.batch import BATCH_WIDTH, LockstepLeader
+                      group_width, in_position_order, resolve_jobs,
+                      run_tasks, run_tasks_stored, task_key, write_campaign)
+from ..sim.batch import BATCH_WIDTH, LockstepLeader, warm_front_end
 from ..sim.result import Status
 from ..sim.sofia import SofiaMachine
 from ..transform.image import SofiaImage
@@ -137,13 +139,24 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
 
     One leader machine (with a bit-slice-warmed front end) runs the
     shared clean prefix exactly once; each specimen forks off at its
-    trigger point, injects, and resumes on the scalar engine.  Results
+    trigger point, injects, and resumes on the default engine.  Results
     come back in the *submission* order of ``faults`` and are
-    byte-identical to per-specimen :func:`run_fault` calls — the scalar
-    prefix cost ``sum(t_i)`` collapses to ``max(t_i)``.
+    byte-identical to per-specimen :func:`run_fault` calls — the
+    per-specimen prefix cost ``sum(t_i)`` collapses to ``max(t_i)``.
     """
-    results: List[Optional[FaultResult]] = [None] * len(faults)
-    leader = LockstepLeader(image, keys)
+    return in_position_order(
+        _lockstep(image, keys, faults, golden_output, max_instructions),
+        len(faults))
+
+
+def _lockstep(image: SofiaImage, keys: DeviceKeys,
+              faults: Sequence[FaultSpec], golden_output: Sequence[int],
+              max_instructions: int, engine: Optional[str] = None
+              ) -> Iterator[Tuple[int, FaultResult]]:
+    """Yield ``(submission index, result)`` per specimen, in trigger
+    order (the order the leader reaches them); the leader and its forks
+    run on ``engine``."""
+    leader = LockstepLeader(image, keys, engine=engine)
     order = sorted(range(len(faults)),
                    key=lambda i: faults[i].trigger_instructions)
     for index in order:
@@ -151,9 +164,8 @@ def run_fault_batch(image: SofiaImage, keys: DeviceKeys,
         machine = leader.fork_at(fault.trigger_instructions)
         description = fault.inject(machine)
         result = machine.run(max_instructions=max_instructions)
-        results[index] = _classify_fault(fault, description, result,
-                                         golden_output)
-    return results
+        yield index, _classify_fault(fault, description, result,
+                                     golden_output)
 
 
 def sample_faults(image: SofiaImage, total_instructions: int,
@@ -218,16 +230,11 @@ def _init_fault_worker(image: SofiaImage, keys: DeviceKeys,
     _WORKER_CTX = (image, keys, golden_output, max_instructions, engine)
 
 
-def _fault_task(fault: FaultSpec) -> FaultResult:
+def _fault_group_task(group: List[FaultSpec]
+                      ) -> Iterator[Tuple[int, FaultResult]]:
     image, keys, golden_output, max_instructions, engine = _WORKER_CTX
-    return run_fault(image, keys, fault, golden_output, max_instructions,
-                     engine=engine)
-
-
-def _fault_batch_task(group: List[FaultSpec]) -> List[FaultResult]:
-    image, keys, golden_output, max_instructions, _engine = _WORKER_CTX
-    return run_fault_batch(image, keys, group, golden_output,
-                           max_instructions)
+    return _lockstep(image, keys, group, golden_output, max_instructions,
+                     engine)
 
 
 def run_campaign(program: AsmProgram, keys: DeviceKeys,
@@ -245,18 +252,20 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
     """Full campaign on one program; returns per-fault results + summary.
 
     The protected image is built and golden-checked exactly once; every
-    specimen then runs against it.  With ``parallel=True`` the specimen
-    list is dispatched across ``jobs`` worker processes (default: one per
-    CPU); serial and parallel runs classify identically because each
-    ``run_fault`` is a pure function of (image, fault).  ``export_path``
-    writes the campaign's parameters and per-specimen results as JSON.
-
-    ``engine="batch"`` routes the specimens through the lockstep batch
-    engine in submission-order groups of ``batch_width`` (one pool task
-    per group; the partition depends only on the width, so any ``--jobs``
-    stays byte-identical) — results and exports match the scalar path
-    exactly, just faster.  ``models`` restricts the sampled population to
-    the named fault models (default: all six).
+    specimen then runs against it, in lockstep submission-order groups
+    (:func:`run_fault_batch`, one pool task per group) of at most
+    ``batch_width`` — narrower when that makes fewer than
+    :data:`~repro.runner.batching.MIN_GROUPS` groups, so small campaigns
+    still fan out.  With ``parallel=True`` the groups are dispatched
+    across ``jobs`` worker processes (default: one per CPU); the
+    partition depends only on the specimen count and the width, never on
+    ``jobs``, and each specimen's result is a pure function of (image,
+    fault), so every ``--jobs`` and width classifies identically to
+    per-specimen :func:`run_fault` calls.  ``engine`` picks the
+    execution engine of every machine (``"reference"`` runs the oracle).
+    ``export_path`` writes the campaign's parameters and per-specimen
+    results as JSON.  ``models`` restricts the sampled population to the
+    named fault models (default: all six).
 
     ``store_dir`` makes the campaign incremental: each specimen's result
     is content-addressed by (code version, image + run context, fault
@@ -278,8 +287,9 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
         keys = keys.for_profile(profile)
     with obs_phase(telemetry, "build"):
         image = transform(program, keys, nonce=nonce, profile=profile)
-        baseline = SofiaMachine(image, keys,
-                                engine=engine).run(max_instructions)
+        golden_machine = SofiaMachine(image, keys, engine=engine)
+        warm_front_end(golden_machine)
+        baseline = golden_machine.run(max_instructions)
     if list(baseline.output_ints) != list(golden_output) or not baseline.ok:
         raise AssertionError(
             f"golden run broken: {baseline.summary()} "
@@ -309,19 +319,13 @@ def run_campaign(program: AsmProgram, keys: DeviceKeys,
                     engine)
 
         def execute(missing: List[FaultSpec]) -> List[FaultResult]:
-            # the batch engine is byte-identical to per-specimen runs at
+            # lockstep groups are byte-identical to per-specimen runs at
             # any grouping, so grouping only the missing faults is safe
-            if engine == "batch":
-                groups = make_batches(missing, batch_width)
-                return [result for group_results in run_tasks(
-                    _fault_batch_task, groups, jobs=jobs,
-                    parallel=parallel, initializer=_init_fault_worker,
-                    initargs=initargs, telemetry=telemetry)
-                    for result in group_results]
             return run_tasks(
-                _fault_task, missing, jobs=jobs, parallel=parallel,
+                _fault_group_task, missing, jobs=jobs, parallel=parallel,
                 initializer=_init_fault_worker, initargs=initargs,
-                telemetry=telemetry)
+                telemetry=telemetry,
+                width=group_width(len(missing), batch_width))
 
         with obs_phase(telemetry, "execute"):
             run = run_tasks_stored(execute, faults, fault_keys,

@@ -28,7 +28,7 @@ fetch-path variants stand in for the paper's interrupt-enabled builds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..crypto.keys import DeviceKeys
 from ..errors import ReproError
@@ -95,43 +95,38 @@ _FIELD_NAMES = ("status", "cycles", "instructions", "exit_code",
 
 
 def _compare_engines(axis: str, make_machine, budget: int,
-                     divergences: List[Divergence],
-                     engines: Tuple[str, ...] = ("reference",)):
-    """Run ``engines`` against the default engine of one machine; flag
-    every differing observable.
+                     divergences: List[Divergence]):
+    """Run the reference oracle against the default engine of one
+    machine; flag every differing observable.
 
     Returns the default run's (machine, result) — the pair the rest of
-    the oracle keeps reasoning about.  Each extra engine (the
-    ``--engine batch`` opt-in adds ``"batch"``) is held to the same
-    bit-identical contract.
+    the oracle keeps reasoning about.
     """
     pre = make_machine(DEFAULT_ENGINE)
     pre_result = pre.run(max_instructions=budget)
     pre_fields = _result_fields(pre_result)
-    for engine in engines:
-        other = make_machine(engine)
-        other_result = other.run(max_instructions=budget)
-        other_fields = _result_fields(other_result)
-        for name, a, b in zip(_FIELD_NAMES, other_fields, pre_fields):
-            if a != b:
-                divergences.append(Divergence(
-                    axis, name, f"{engine}={a!r} {DEFAULT_ENGINE}={b!r}"))
-        if other.state.regs != pre.state.regs:
-            delta = [i for i in range(32)
-                     if other.state.regs[i] != pre.state.regs[i]]
+    other = make_machine("reference")
+    other_fields = _result_fields(other.run(max_instructions=budget))
+    for name, a, b in zip(_FIELD_NAMES, other_fields, pre_fields):
+        if a != b:
             divergences.append(Divergence(
-                axis, "regs", f"registers differ at {delta}"))
-        if other.state.pc != pre.state.pc:
-            divergences.append(Divergence(
-                axis, "pc",
-                f"{engine}=0x{other.state.pc:08x} "
-                f"{DEFAULT_ENGINE}=0x{pre.state.pc:08x}"))
-        if other.memory.ram != pre.memory.ram:
-            first = next(
-                i for i, (x, y) in
-                enumerate(zip(other.memory.ram, pre.memory.ram)) if x != y)
-            divergences.append(Divergence(
-                axis, "ram", f"data RAM differs from byte offset {first}"))
+                axis, name, f"reference={a!r} {DEFAULT_ENGINE}={b!r}"))
+    if other.state.regs != pre.state.regs:
+        delta = [i for i in range(32)
+                 if other.state.regs[i] != pre.state.regs[i]]
+        divergences.append(Divergence(
+            axis, "regs", f"registers differ at {delta}"))
+    if other.state.pc != pre.state.pc:
+        divergences.append(Divergence(
+            axis, "pc",
+            f"reference=0x{other.state.pc:08x} "
+            f"{DEFAULT_ENGINE}=0x{pre.state.pc:08x}"))
+    if other.memory.ram != pre.memory.ram:
+        first = next(
+            i for i, (x, y) in
+            enumerate(zip(other.memory.ram, pre.memory.ram)) if x != y)
+        divergences.append(Divergence(
+            axis, "ram", f"data RAM differs from byte offset {first}"))
     return pre, pre_result
 
 
@@ -147,8 +142,7 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
                timing: TimingParams = DEFAULT_TIMING,
                include_baselines: bool = False,
                vanilla_budget: int = VANILLA_BUDGET,
-               sofia_budget: int = SOFIA_BUDGET,
-               engine: Optional[str] = None) -> OracleReport:
+               sofia_budget: int = SOFIA_BUDGET) -> OracleReport:
     """The full differential pipeline for one specimen.
 
     The budgets exist for the minimizer: a reduced candidate can loop
@@ -156,11 +150,7 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
     original failure instead of the full campaign budgets.
 
     Both engine axes hold the reference oracle bit-for-bit to the
-    default engine.  ``engine="batch"`` widens the SOFIA axis to a
-    three-way lockstep, so every fuzzing campaign that opts in also
-    differential-tests the batch-warmed front end on generated programs
-    (batch warms the SOFIA front end only, so the vanilla axis stays
-    two-way); ``engine="fused"`` is the default and adds nothing.
+    default engine.
     """
     report = OracleReport(specimen=specimen)
     genome = specimen.genome
@@ -181,16 +171,14 @@ def run_oracle(specimen: Specimen, keys: DeviceKeys,
     report.features.extend(image_features(image, timing.icache_line_words))
 
     divergences = report.divergences
-    extra = () if engine in (None, DEFAULT_ENGINE) else (engine,)
     _, vanilla = _compare_engines(
         "vanilla-engine",
         lambda eng: VanillaMachine(executable, timing, engine=eng),
         vanilla_budget, divergences)
-    sofia_engines = ("reference",) + extra
     _, sofia = _compare_engines(
         "sofia-engine",
         lambda eng: SofiaMachine(image, keys, timing, engine=eng),
-        sofia_budget, divergences, engines=sofia_engines)
+        sofia_budget, divergences)
 
     report.vanilla_status = vanilla.status.value
     report.sofia_status = sofia.status.value

@@ -159,9 +159,9 @@ class Telemetry:
         When the pending queue (from :meth:`expect_tasks`) holds exactly
         ``n`` entries they are consumed — completions then carry their
         campaign-global indices.  Any mismatch (e.g. a driver that
-        groups tasks before dispatch, like the fault campaign's batch
-        mode) falls back to a fresh local sequence and clears the queue,
-        so labels never silently shift between dispatches.
+        dispatches a different task list than it planned) falls back to
+        a fresh local sequence and clears the queue, so labels never
+        silently shift between dispatches.
         """
         if len(self._pending) == n:
             indices = list(self._pending)

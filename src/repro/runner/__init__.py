@@ -54,7 +54,7 @@ Design contract (every caller relies on these):
   and resumed/merged artifacts are byte-identical to a cold serial run.
 """
 
-from .batching import make_batches
+from .batching import group_width, in_position_order, make_batches
 from .cache import (DEFAULT_KEY_SEED, BuildCache, BuildSpec, CacheStats,
                     build_cache, clear_build_cache)
 from .export import (atomic_write_text, campaign_record, to_jsonable,
@@ -67,7 +67,7 @@ from .store import (ResultStore, StoredRun, StoreStats, code_version,
 
 __all__ = [
     "run_tasks", "resolve_jobs", "available_cpus", "default_chunksize",
-    "make_batches",
+    "make_batches", "group_width", "in_position_order",
     "task_seed", "task_rng",
     "BuildCache", "BuildSpec", "CacheStats", "build_cache",
     "clear_build_cache", "DEFAULT_KEY_SEED",

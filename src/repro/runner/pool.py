@@ -17,41 +17,52 @@ read-only context is additionally shared copy-on-write.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from .batching import in_position_order, make_batches
+
 T = TypeVar("T")
 R = TypeVar("R")
 
-# worker-global task function for the instrumented parallel path; set by
-# _obs_initializer in each worker process (mirrors the campaign modules'
-# _WORKER_CTX idiom — fork-safe, pickled once per worker, not per task)
-_OBS_FN: Optional[Callable] = None
-
-
-def _obs_initializer(fn: Callable, initializer: Optional[Callable],
+def _obs_initializer(initializer: Optional[Callable],
                      initargs: Tuple) -> None:
     """Pool initializer for instrumented runs: install the per-worker
-    metrics registry, stash the task function, then run the campaign's
-    own initializer."""
-    global _OBS_FN
+    metrics registry, then run the campaign's own initializer."""
     from ..obs import worker as obs_worker
     obs_worker.install()
-    _OBS_FN = fn
     if initializer is not None:
         initializer(*initargs)
 
 
-def _obs_task(task):
-    """Instrumented task wrapper: time the task and piggyback the
-    worker's span (pid, timing, counter deltas) on the result."""
+def _alone(fn: Callable, group: list):
+    """An ungrouped task, dispatched as a group of one."""
+    yield 0, fn(group[0])
+
+
+def _collect(fn: Callable, group: list) -> list:
+    """One group's member results, in member order."""
+    return in_position_order(fn(group), len(group))
+
+
+def _timed(fn: Callable, group: list) -> tuple:
+    """Instrumented group: member results plus one ``(position, span)``
+    per member — the worker's pid, timing (from the previous member's
+    completion) and counter deltas — piggybacked on the result channel."""
     from ..obs import worker as obs_worker
+    results = [None] * len(group)
+    spans = []
     start = time.perf_counter()
-    result = _OBS_FN(task)
-    return result, obs_worker.span(start, time.perf_counter())
+    for position, result in fn(group):
+        end = time.perf_counter()
+        results[position] = result
+        spans.append((position, obs_worker.span(start, end)))
+        start = end
+    return results, spans
 
 
 def available_cpus() -> int:
@@ -103,66 +114,72 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T], *,
               chunksize: Optional[int] = None,
               initializer: Optional[Callable] = None,
               initargs: Tuple = (),
-              telemetry=None) -> List[R]:
+              telemetry=None,
+              width: Optional[int] = None) -> List[R]:
     """Run ``fn`` over every task, returning results in task order.
 
     ``parallel=False`` (or a resolved worker count of one, or fewer than
-    two tasks) executes ``[fn(t) for t in tasks]`` in-process after
-    calling the initializer — the exact historical serial loop.  The
-    parallel path fans the task list across ``jobs`` worker processes
-    with chunked dispatch; ``ProcessPoolExecutor.map`` guarantees the
-    result order matches the submission order regardless of which worker
+    two tasks) calls ``fn`` on every task in-process, in order, after
+    calling the initializer — the historical serial loop.  The parallel
+    path fans the task list across ``jobs`` worker processes with
+    chunked dispatch; ``ProcessPoolExecutor.map`` guarantees the result
+    order matches the submission order regardless of which worker
     finishes first.
+
+    ``width`` dispatches the tasks in submission-order groups of up to
+    that many (:func:`~repro.runner.batching.make_batches`): ``fn``
+    receives a whole group and yields ``(position, result)`` once per
+    member, in any order, and the returned list is still one result per
+    task in submission order.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, default ``None``)
     turns on per-task collection: each worker installs a process-local
-    metrics registry, times every task, and returns ``(result, span)``
-    through the same result channel; the parent strips the spans and
-    folds them into the campaign telemetry in result order.  With
-    ``telemetry=None`` this function is byte-for-byte the historical
-    dispatch — no wrapper functions, no extra pickling.
+    metrics registry, times every task (every group member separately),
+    and returns the spans through the same result channel; the parent
+    strips them and folds them into the campaign telemetry in result
+    order.  With ``telemetry=None`` no task is timed and no worker
+    registry is installed.
     """
-    task_list = list(tasks)
+    groups = make_batches(list(tasks), width or 1)
     workers = resolve_jobs(jobs)
-    if not parallel or workers == 1 or len(task_list) < 2:
-        if telemetry is None:
-            if initializer is not None:
-                initializer(*initargs)
-            return [fn(task) for task in task_list]
+    member = fn if width is not None else functools.partial(_alone, fn)
+    call = functools.partial(_collect if telemetry is None else _timed,
+                             member)
+    indices = (telemetry.claim_indices(sum(map(len, groups)))
+               if telemetry is not None else None)
+    if not parallel or workers == 1 or len(groups) < 2:
         from ..obs import worker as obs_worker
-        indices = telemetry.claim_indices(len(task_list))
-        obs_worker.install()
+        if telemetry is not None:
+            obs_worker.install()
         try:
             if initializer is not None:
                 initializer(*initargs)
-            results = []
-            for index, task in zip(indices, task_list):
-                start = time.perf_counter()
-                result = fn(task)
-                telemetry.task_completed(
-                    obs_worker.span(start, time.perf_counter()), index)
-                results.append(result)
-            return results
+            return _gather(map(call, groups), telemetry, indices)
         finally:
-            obs_worker.uninstall()
-    workers = min(workers, len(task_list))
+            if telemetry is not None:
+                obs_worker.uninstall()
+    workers = min(workers, len(groups))
     if chunksize is None:
-        chunksize = default_chunksize(len(task_list), workers)
-    if telemetry is None:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=_fork_context(),
-                                 initializer=initializer,
-                                 initargs=initargs) as pool:
-            return list(pool.map(fn, task_list, chunksize=chunksize))
-    indices = telemetry.claim_indices(len(task_list))
+        chunksize = default_chunksize(len(groups), workers)
+    if telemetry is not None:
+        initializer, initargs = _obs_initializer, (initializer, initargs)
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=_fork_context(),
-                             initializer=_obs_initializer,
-                             initargs=(fn, initializer, initargs)) as pool:
-        results = []
-        for index, (result, span) in zip(
-                indices, pool.map(_obs_task, task_list,
-                                  chunksize=chunksize)):
-            telemetry.task_completed(span, index)
-            results.append(result)
-        return results
+                             initializer=initializer,
+                             initargs=initargs) as pool:
+        return _gather(pool.map(call, groups, chunksize=chunksize),
+                       telemetry, indices)
+
+
+def _gather(outputs, telemetry, indices: Optional[List[int]]) -> list:
+    """Flatten per-group outputs into per-task results, folding each
+    member's span into ``telemetry`` as its group arrives."""
+    results: list = []
+    for output in outputs:
+        if telemetry is not None:
+            output, spans = output
+            for position, span in spans:
+                telemetry.task_completed(span,
+                                         indices[len(results) + position])
+        results.extend(output)
+    return results

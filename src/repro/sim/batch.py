@@ -1,10 +1,11 @@
-"""Bit-sliced batch simulation: lockstep campaign specimens (engine E18).
+"""Lockstep campaign mechanics: a warmed front end and forked specimens.
 
 Campaign runs (fault injection, attack synthesis, DSE grid points) execute
 thousands of *near-identical* specimens: each one replays the same clean
 prefix of the same protected image before diverging — at a fault trigger,
-a tampered block, a detection reset.  This module batches that common work
-two ways:
+a tampered block, a detection reset.  Every campaign shares that common
+work two ways (these are campaign steps, not an execution engine: the
+specimens run on whichever engine the caller asked for):
 
 **Bit-sliced front end** — :func:`warm_front_end` enumerates every sealed
 static edge of the image (the per-word chaining scheme of
@@ -14,8 +15,9 @@ sweep (up to 64 counters per cipher pass), then batch-MACs every block's
 plaintext payload into a shared seal memo — so the scalar run loop never
 touches the cipher again.  Both memos are *pure*: keystream words depend
 only on (cipher, nonce, edge) and seal values only on (keys, kind,
-payload), so pre-warming and sharing them is observationally invisible
-(the existing memoization cycle-neutrality tests gate exactly this).
+payload), so pre-warming and sharing them (:func:`adopt_caches`) is
+observationally invisible (the existing memoization cycle-neutrality
+tests gate exactly this).
 
 **Lockstep leader** — :class:`LockstepLeader` runs the clean prefix once,
 in stints, and :func:`fork_machine` peels a byte-exact specimen machine
@@ -27,20 +29,18 @@ deterministic clean run is fixed, so advancing to ascending triggers
 ``run(max_instructions=t_i)`` would reach.  The leader stops advancing at
 any terminal (non-LIMIT) status because re-running a halted machine
 re-executes block payload — forks made after that point replicate the
-terminal state, exactly like the scalar path.
+terminal state, exactly like the per-specimen path.
 
-Specimens resume on the fused engine (hot blocks run as one compiled
-call each, bit-identical to the reference oracle — see
-:mod:`repro.sim.fused`), so every per-commit observable (registers, PC,
-memory, cycles, I-cache stats) is byte-identical to a fresh scalar run —
-the batch differential suite and the W=1 == scalar determinism tests gate
-this, and hot peel-off suffixes do not pay per-instruction dispatch.
-
-``SofiaMachine(..., engine="batch")`` means: the fused run loop over a
-batch-warmed front end (warmed lazily on the first ``run()``).
+Forks run on their leader's engine (the default fused engine, or the
+``core.execute`` oracle for reference campaigns), so every per-commit
+observable (registers, PC, memory, cycles, I-cache stats) is
+byte-identical to a fresh per-specimen run — the lockstep differential
+suite and the W=1 determinism tests gate this.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from ..crypto.bitslice import WIDTH, batch_mac_stream, encrypt_batch
 from ..crypto.ctr import pack_counter
@@ -141,15 +141,16 @@ def fork_machine(source: SofiaMachine) -> SofiaMachine:
     """A byte-exact, independently runnable copy of ``source``.
 
     The architectural state (registers, PC, prevPC, code, RAM, MMIO logs,
-    I-cache tags and stats, fault hooks) is copied; the pure keystream and
-    seal memos are shared (additions are value-identical on every sharer,
-    and code writes never touch them); the block cache and its per-block
-    edge index are copied, not shared — a specimen that tampers with code
-    drops the written block's edges from *its own* copy and re-verifies
-    them from its own memory, leaving its siblings' copies intact.
+    I-cache tags and stats, fault hooks) and the engine are copied; the
+    pure keystream and seal memos are shared (additions are
+    value-identical on every sharer, and code writes never touch them);
+    the block cache and its per-block edge index are copied, not shared —
+    a specimen that tampers with code drops the written block's edges
+    from *its own* copy and re-verifies them from its own memory, leaving
+    its siblings' copies intact.
     """
     clone = SofiaMachine(source.image, source.keys, timing=source.timing,
-                         memoize=source.memoize, engine="fused",
+                         memoize=source.memoize, engine=source.engine,
                          profile=source.profile)
     clone.state.regs[:] = source.state.regs
     clone.state.pc = source.state.pc
@@ -181,13 +182,15 @@ class LockstepLeader:
     ``fork_at`` must be called with non-decreasing trigger instruction
     counts (sort the specimens first); each call advances the leader by a
     stint and returns a fork whose state is byte-identical to a fresh
-    scalar machine run for ``trigger`` instructions.
+    scalar machine run for ``trigger`` instructions.  The leader and its
+    forks run on ``engine`` (``None`` selects the default).
     """
 
     def __init__(self, image, keys, timing: TimingParams = DEFAULT_TIMING,
-                 profile=None, warm: bool = True) -> None:
+                 profile=None, warm: bool = True,
+                 engine: Optional[str] = None) -> None:
         self.machine = SofiaMachine(image, keys, timing=timing,
-                                    engine="fused", profile=profile)
+                                    engine=engine, profile=profile)
         if warm:
             warm_front_end(self.machine)
         self.executed = 0

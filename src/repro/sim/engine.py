@@ -64,17 +64,13 @@ HALT = -1
 #: the engines a machine can run: ``"fused"`` (the default) interprets
 #: each straight-line run with step handlers until it is hot and then
 #: calls it as one compiled function (:mod:`repro.sim.fused`);
-#: ``"reference"`` selects the ``core.execute`` oracle loop; ``"batch"``
-#: is the fused loop over a bit-slice-warmed SOFIA front end
-#: (:mod:`repro.sim.batch`).  This tuple is the single home of the engine
-#: name surface: CLI choices, fuzz-oracle axes and campaign plumbing all
-#: derive from it.
-ENGINES = ("reference", "fused", "batch")
+#: ``"reference"`` selects the ``core.execute`` oracle loop.  Warming a
+#: SOFIA front end and lockstepping fault specimens are campaign steps
+#: (:mod:`repro.sim.batch`), not engines.  This tuple is the single home
+#: of the engine name surface: the ``run``/``run-protected`` CLI choices
+#: and the test fixtures derive from it.
+ENGINES = ("reference", "fused")
 DEFAULT_ENGINE = "fused"
-
-#: the engines campaign drivers accept: everything but the reference
-#: oracle (derived, never repeated as a literal tuple elsewhere)
-CAMPAIGN_ENGINES = tuple(e for e in ENGINES if e != "reference")
 
 Handler = Callable[[list, Memory, int], Optional[int]]
 

@@ -133,8 +133,6 @@ class SofiaMachine:
         #: tampered payload is a different key, so it still re-MACs
         self._mac_cache: Dict[Tuple[str, Tuple[int, ...]],
                               Tuple[int, ...]] = {}
-        #: the batch engine warms the front end once, on the first run()
-        self._warm_pending = self.engine == "batch"
         #: optional tracing hook, called as on_commit(pc, instr) after each
         #: committed instruction (see repro.sim.trace)
         self.on_commit = None
@@ -319,12 +317,6 @@ class SofiaMachine:
         if self.engine == "reference":
             result = self._run_reference(max_instructions)
         else:
-            if self._warm_pending:
-                # batch engine == the fused run loop over a front end
-                # warmed in one bit-sliced sweep (lazy import: cycle)
-                self._warm_pending = False
-                from .batch import warm_front_end
-                warm_front_end(self)
             result = self._run_fused(max_instructions)
         obs = self._obs
         if obs is not None:

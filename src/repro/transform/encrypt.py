@@ -82,8 +82,9 @@ def unseal_block(kind: str, fetched_words: Sequence[int], keys: DeviceKeys,
     payload (the skipped M1 copy never appears).  In both cases the
     first ``mac_words`` entries are the stored seal.
 
-    ``mac_cache`` (a simulator machine's seal memo, shared with forks
-    and donors by :mod:`repro.sim.batch`) memoizes the recomputation by
+    ``mac_cache`` (a simulator machine's seal memo, which campaigns
+    pre-fill and share with lockstep forks and attack-instance machines
+    through :mod:`repro.sim.batch`) memoizes the recomputation by
     ``(kind, payload)``; the seal is a pure function of those plus the
     fixed keys and width, so the memo is observationally invisible.
 

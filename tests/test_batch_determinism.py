@@ -1,24 +1,32 @@
-"""Determinism contract of the batch engine: byte-identical everywhere.
+"""Determinism contract of lockstep fault campaigns: byte-identical
+everywhere.
 
-The batch partition (:func:`repro.runner.make_batches`) depends only on
-submission order and width, so a batched campaign must be byte-identical
+The group partition (:func:`repro.runner.make_batches`) depends only on
+submission order and width, and the campaign's width
+(:func:`repro.runner.group_width`) only on the specimen count and the
+``batch_width`` cap, so a fault campaign must be byte-identical
 
-* to the scalar campaign (the W=1 degenerate case *and* any other W),
+* to per-specimen :func:`~repro.faults.campaign.run_fault` calls (the
+  W=1 degenerate case *and* any other W),
 * at any ``--jobs`` value (serial vs process pool),
-* across batch widths (W=64 groups vs W=7 groups),
+* across group widths (W=5 groups vs W=3 groups),
 
 and the E18 export helpers must emit byte-for-byte pinned artifacts for
 a fixed record — the goldens here are what the CI smoke re-derives.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.crypto import DeviceKeys
 from repro.eval.export import batch_csv, batch_json
-from repro.faults.campaign import run_campaign
-from repro.runner import make_batches
+from repro.faults.campaign import run_campaign, run_fault, sample_faults
+from repro.obs import Telemetry
+from repro.runner import group_width, make_batches
+from repro.sim import SofiaMachine
+from repro.transform import transform
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xBEEF2016)
@@ -34,13 +42,28 @@ def victim():
     return _VICTIM["program"], _VICTIM["workload"].expected_output
 
 
+def _rows(results):
+    return [(r.model, r.outcome, r.description, r.status, r.detail)
+            for r in results]
+
+
 def classify(**kwargs):
     program, golden = victim()
     results, summary = run_campaign(
         program, KEYS, golden, per_model=3, seed=41,
         max_instructions=200_000, **kwargs)
-    return ([(r.model, r.outcome, r.description, r.status, r.detail)
-             for r in results], summary.counts)
+    return _rows(results), summary.counts
+
+
+def per_specimen():
+    """The campaign's population, one fresh machine per specimen."""
+    program, golden = victim()
+    image = transform(program, KEYS, nonce=0xFA17)
+    baseline = SofiaMachine(image, KEYS).run(200_000)
+    faults = sample_faults(image, baseline.instructions, per_model=3,
+                           seed=41)
+    return _rows(run_fault(image, KEYS, fault, golden, 200_000)
+                 for fault in faults)
 
 
 class TestMakeBatches:
@@ -55,22 +78,37 @@ class TestMakeBatches:
         with pytest.raises(ValueError):
             make_batches([1], 0)
 
+    def test_group_width_splits_small_campaigns(self):
+        # at least MIN_GROUPS (4) groups when there are that many items,
+        # never wider than the cap, never narrower than one
+        assert group_width(12, 64) == 3
+        assert group_width(18, 64) == 5
+        assert group_width(150, 64) == 38
+        assert group_width(1000, 64) == 64
+        assert group_width(18, 2) == 2
+        assert group_width(2, 64) == 1
+        assert group_width(0, 64) == 1
+
 
 class TestCampaignDeterminism:
-    def test_batch_equals_scalar(self):
-        assert classify(engine="batch") == classify()
+    def test_lockstep_equals_per_specimen(self):
+        assert classify()[0] == per_specimen()
 
-    def test_width_one_equals_scalar(self):
-        assert classify(engine="batch", batch_width=1) == classify()
+    def test_width_one_equals_per_specimen(self):
+        assert classify(batch_width=1)[0] == per_specimen()
 
     def test_any_width_is_byte_identical(self):
-        assert (classify(engine="batch", batch_width=64)
-                == classify(engine="batch", batch_width=7))
+        assert classify(batch_width=64) == classify(batch_width=3)
 
     def test_any_jobs_is_byte_identical(self):
-        serial = classify(engine="batch")
-        pooled = classify(engine="batch", parallel=True, jobs=4)
+        serial = classify()
+        telemetry = Telemetry()
+        pooled = classify(parallel=True, jobs=4, telemetry=telemetry)
         assert serial == pooled
+        # 18 specimens form 4 groups, so the groups really ran in workers
+        workers = {worker for _index, worker, _start, _end
+                   in telemetry.spans}
+        assert len(workers) > 1 and os.getpid() not in workers
 
     def test_export_is_jobs_and_width_free(self, tmp_path):
         program, golden = victim()
@@ -85,10 +123,10 @@ class TestCampaignDeterminism:
             record.pop("jobs"), record.pop("elapsed_seconds")
             return json.dumps(record, sort_keys=True)
 
-        scalar = export()
-        assert export(engine="batch") == scalar
-        assert export(engine="batch", batch_width=5) == scalar
-        assert export(engine="batch", parallel=True, jobs=4) == scalar
+        default = export()
+        assert export(batch_width=1) == default
+        assert export(batch_width=2) == default
+        assert export(parallel=True, jobs=4) == default
 
 
 # --- pinned E18 export goldens ---------------------------------------------

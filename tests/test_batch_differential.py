@@ -1,4 +1,4 @@
-"""Differential suite for the bit-sliced batch engine (PR 2 style).
+"""Differential suite for lockstep campaign mechanics (PR 2 style).
 
 Four layers, each held to byte-identity against its scalar twin:
 
@@ -7,9 +7,11 @@ Four layers, each held to byte-identity against its scalar twin:
   PRESENT-80 circuits lane-for-lane against the scalar ciphers
   (including PRESENT's published test vector through the batch path),
   and ``batch_mac_stream`` against the scalar ``mac_stream``;
-* **warmed front end** — a batch-engine machine's every
-  ``ExecutionResult`` field equals the cold scalar machine's, across
-  vanilla/SOFIA/ISR baselines and every E17 profile grid point;
+* **warmed front end** — a ``warm_front_end``-ed machine's every
+  ``ExecutionResult`` field equals the cold machine's, on the workloads,
+  every E17 profile grid point and fuzz-generated programs (against the
+  reference oracle), and an attack-instance machine seeded from a warmed
+  donor classifies every enumerated instance exactly like a cold one;
 * **lockstep leader** — ``LockstepLeader.fork_at(t)`` reproduces the
   state a fresh scalar machine reaches after ``t`` instructions, and a
   forked specimen that diverges (fault injection) classifies exactly
@@ -29,12 +31,18 @@ from repro.crypto.bitslice import (WIDTH, batch_mac_stream, bitsliced_for,
 from repro.crypto.cbcmac import mac_stream
 from repro.crypto.present import Present80
 from repro.crypto.rectangle import Rectangle80
+from repro.attacksynth.classify import (SOFIA_BUDGET, observables,
+                                        run_sofia_instance)
+from repro.attacksynth.enumerate import enumerate_instances
 from repro.faults.campaign import run_fault, run_fault_batch, sample_faults
-from repro.isa import assemble, parse
-from repro.sim import SofiaMachine, VanillaMachine
+from repro.fuzz import BLOCK_WORDS, SHAPES, Genome, generate
+from repro.fuzz.oracle import build_program
+from repro.isa import assemble
+from repro.runner import task_rng
+from repro.sim import SofiaMachine
 from repro.sim.batch import LockstepLeader, fork_machine, warm_front_end
 from repro.transform import transform
-from repro.transform.profile import profile_grid
+from repro.transform.profile import DEFAULT_PROFILE, profile_grid
 from repro.workloads import make_workload
 
 KEYS = DeviceKeys.from_seed(0xBEEF2016)
@@ -123,33 +131,24 @@ class TestBatchMacStream:
 
 # --- warmed front end ------------------------------------------------------
 
-class TestBatchEngineParity:
+def warmed(image, keys):
+    machine = SofiaMachine(image, keys)
+    warm_front_end(machine)
+    return machine
+
+
+class TestWarmedFrontEndParity:
     @pytest.mark.parametrize("name", ["sort", "rle"])
-    def test_sofia_batch_equals_default(self, name):
+    def test_warmed_equals_cold(self, name):
         workload, _, image = build(name)
-        batch = SofiaMachine(image, KEYS, engine="batch")
-        scalar = SofiaMachine(image, KEYS)
-        br, sr = batch.run(), scalar.run()
-        assert result_fields(br) == result_fields(sr)
-        assert batch.state.regs == scalar.state.regs
-        assert batch.state.pc == scalar.state.pc
-        assert batch.memory.ram == scalar.memory.ram
-        assert br.output_ints == workload.expected_output
-
-    def test_vanilla_accepts_batch_engine(self):
-        _, exe, _ = build("sort")
-        br = VanillaMachine(exe, engine="batch").run()
-        sr = VanillaMachine(exe).run()
-        assert result_fields(br) == result_fields(sr)
-
-    def test_isr_baselines_accept_batch_engine(self):
-        from repro.baselines import EcbIsrMachine, XorIsrMachine
-        _, exe, _ = build("sort")
-        for make in (lambda e: XorIsrMachine(exe, 0xA5A5F00D, engine=e),
-                     lambda e: EcbIsrMachine(exe, 0xBEEF2016CAFE,
-                                             engine=e)):
-            assert (result_fields(make("batch").run())
-                    == result_fields(make(None).run()))
+        warm = warmed(image, KEYS)
+        cold = SofiaMachine(image, KEYS)
+        wr, cr = warm.run(), cold.run()
+        assert result_fields(wr) == result_fields(cr)
+        assert warm.state.regs == cold.state.regs
+        assert warm.state.pc == cold.state.pc
+        assert warm.memory.ram == cold.memory.ram
+        assert wr.output_ints == workload.expected_output
 
     @pytest.mark.parametrize("profile", profile_grid(),
                              ids=lambda p: p.label)
@@ -158,10 +157,10 @@ class TestBatchEngineParity:
         program = workload.compile().program
         keys = KEYS.for_profile(profile)
         image = transform(program, keys, nonce=NONCE, profile=profile)
-        br = SofiaMachine(image, keys, engine="batch").run()
-        sr = SofiaMachine(image, keys).run()
-        assert result_fields(br) == result_fields(sr)
-        assert br.output_ints == workload.expected_output
+        wr = warmed(image, keys).run()
+        cr = SofiaMachine(image, keys).run()
+        assert result_fields(wr) == result_fields(cr)
+        assert wr.output_ints == workload.expected_output
 
     def test_warm_front_end_is_observationally_invisible(self):
         _, _, image = build("sort")
@@ -172,6 +171,63 @@ class TestBatchEngineParity:
         assert warm_front_end(warmed) == 0
         cold = SofiaMachine(image, KEYS)
         assert result_fields(warmed.run()) == result_fields(cold.run())
+
+
+def genomes():
+    """Fuzz genomes as Hypothesis draws (as ``tests/test_fuzzing.py``)."""
+    return st.builds(
+        Genome,
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(min_value=0, max_value=1 << 32),
+        size=st.integers(min_value=1, max_value=3),
+        block_words=st.sampled_from(BLOCK_WORDS),
+        nonce=st.integers(min_value=1, max_value=0xFFFF))
+
+
+def generated(genome):
+    """(executable, image) of one generated program, sealed the way the
+    attack-synthesis campaign seals its victims."""
+    program = build_program(generate(genome))
+    image = transform(program, KEYS, nonce=genome.nonce,
+                      profile=DEFAULT_PROFILE.with_block_words(
+                          genome.block_words))
+    return assemble(program), image
+
+
+class TestWarmedFrontEndOnGeneratedPrograms:
+    @given(genome=genomes())
+    @settings(max_examples=25, deadline=None)
+    def test_warmed_fused_equals_cold_reference(self, genome):
+        _, image = generated(genome)
+        warm = warmed(image, KEYS)
+        cold = SofiaMachine(image, KEYS, engine="reference")
+        wr = warm.run(max_instructions=SOFIA_BUDGET)
+        cr = cold.run(max_instructions=SOFIA_BUDGET)
+        assert result_fields(wr) == result_fields(cr)
+        assert (warm.state.regs, warm.state.pc, warm.prev_pc) == (
+            cold.state.regs, cold.state.pc, cold.prev_pc)
+        assert warm.memory.ram == cold.memory.ram
+
+    @given(genome=genomes())
+    @settings(max_examples=15, deadline=None)
+    def test_donor_classifies_like_a_cold_machine(self, genome):
+        exe, image = generated(genome)
+        donor = warmed(image, KEYS)
+        traversed = set()
+        donor.on_commit = lambda pc, _instr: traversed.add(
+            image.block_base_of(pc))
+        clean = donor.run(max_instructions=SOFIA_BUDGET)
+        assert clean.ok, clean.summary()
+        clean_obs = observables(clean)
+        instances = enumerate_instances(
+            image, exe, KEYS, traversed,
+            task_rng(genome.seed, "donor-parity"), key_seed=0xBEEF2016)
+        assert instances
+        for instance in instances:
+            assert run_sofia_instance(
+                instance, image, KEYS, clean_obs, donor=donor) == \
+                run_sofia_instance(instance, image, KEYS, clean_obs), \
+                instance.name
 
 
 # --- lockstep leader and peel-off ------------------------------------------

@@ -11,6 +11,7 @@ from repro.obs import (EVENT_TYPES, DEFAULT_BOUNDS, EventLog, Histogram,
                        MetricsRegistry, ProgressMeter, Telemetry,
                        chrome_trace, counter_delta, load_metrics,
                        read_events, summarize, validate_event)
+from repro.sim.engine import ENGINES
 
 
 class TestHistogram:
@@ -286,20 +287,37 @@ class TestFusedTelemetry:
         counters = telemetry.metrics.counters
         assert counters["sim.frontend.invalidations"] > 0
 
-    @pytest.mark.parametrize("engine", [None, "fused", "batch"])
-    def test_attacksynth_vanilla_targets_run_the_requested_engine(
-            self, tmp_path, capsys, engine):
-        argv = ["attacksynth", "--programs", "1", "--per-program", "3",
-                "--telemetry", str(tmp_path / "tel")]
-        if engine is not None:
-            argv += ["--engine", engine]
-        assert main(argv) == 0
-        capsys.readouterr()
-        # batch warms the SOFIA front end only: plain cores run fused
-        counters = load_metrics(tmp_path / "tel")["counters"]
-        vanilla_runs = {name for name, value in counters.items()
-                        if name.startswith("sim.vanilla.runs.") and value}
-        assert vanilla_runs == {"sim.vanilla.runs.fused"}
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("campaign", ["attacksynth", "fault"])
+    def test_campaign_runs_only_the_requested_engine(self, campaign,
+                                                     engine):
+        # every machine a campaign builds — clean runs, attack instances,
+        # the plain and ISR targets, lockstep leaders and their forks —
+        # must run the engine the caller asked for
+        from repro.attacksynth import run_attacksynth
+        from repro.crypto.keys import DeviceKeys
+        from repro.faults import run_campaign
+        from repro.workloads import make_workload
+        telemetry = Telemetry()
+        with obs.campaign(telemetry, campaign, {"engine": engine}):
+            if campaign == "attacksynth":
+                run_attacksynth(1, seed=0x0B5, per_program=5,
+                                key_seed=0x50F1A, include_baselines=True,
+                                engine=engine, telemetry=telemetry)
+            else:
+                victim = make_workload("crc32", "tiny")
+                run_campaign(victim.compile().program,
+                             DeviceKeys.from_seed(0x50F1A),
+                             victim.expected_output, per_model=1,
+                             seed=0x0B5, engine=engine,
+                             telemetry=telemetry)
+        counters = telemetry.metrics.counters
+        runs = {name for name, value in counters.items() if value
+                and name.startswith(("sim.runs.", "sim.vanilla.runs."))}
+        expected = {f"sim.runs.{engine}"}
+        if campaign == "attacksynth":
+            expected.add(f"sim.vanilla.runs.{engine}")
+        assert runs == expected
 
     def test_stats_derives_per_engine_throughput(self, tmp_path):
         telemetry = Telemetry(directory=tmp_path / "tel")

@@ -48,6 +48,12 @@ def _add_context(x):
     return x + _INIT_VALUE
 
 
+def _squares_backwards(group):
+    # a group task yields its members in any order, tagged by position
+    for position in reversed(range(len(group))):
+        yield position, _square(group[position])
+
+
 class TestPool:
     def test_serial_matches_plain_loop(self):
         tasks = list(range(10))
@@ -93,6 +99,26 @@ class TestPool:
         # one task never pays pool startup; context installed in-process
         assert run_tasks(_add_context, [7], parallel=True, jobs=8,
                          initializer=_install, initargs=(0,)) == [7]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("width", [1, 4, 64])
+    def test_groups_flatten_to_task_order(self, jobs, width):
+        tasks = list(range(11))
+        assert run_tasks(_squares_backwards, tasks, jobs=jobs,
+                         width=width) == [_square(t) for t in tasks]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_every_group_member_completes_as_its_own_task(self, jobs):
+        from repro.obs import Telemetry
+        telemetry = Telemetry()
+        telemetry.expect_tasks(range(10, 21))
+        results = run_tasks(_squares_backwards, list(range(11)),
+                            jobs=jobs, width=4, telemetry=telemetry)
+        assert results == [_square(t) for t in range(11)]
+        assert telemetry.metrics.counters["tasks.completed"] == 11
+        # each member span carries its campaign-global index
+        assert sorted(index for index, *_ in telemetry.spans) == \
+            list(range(10, 21))
 
 
 class TestSeeding:

@@ -1,24 +1,29 @@
 """Machine-level tests: vanilla and SOFIA run loops, traps, violations.
 
 Behavioural tests take the shared ``engine`` fixture (tests/conftest.py)
-so every registered execution engine — reference, fused, batch —
-satisfies the same machine-level contract.
+so every registered execution engine — reference, fused — satisfies the
+same machine-level contract.  The SOFIA contract is checked twice: on a
+cold machine, and on one whose front end was warmed first the way every
+campaign warms it (:func:`repro.sim.batch.warm_front_end`).
 """
 
 import pytest
 
 from repro.crypto import DeviceKeys
 from repro.isa import assemble_text, parse
-from repro.sim import SofiaMachine, Status, TimingParams, VanillaMachine
+from repro.sim import (DEFAULT_TIMING, SofiaMachine, Status, TimingParams,
+                       VanillaMachine)
+from repro.sim.batch import warm_front_end
 from repro.transform import TransformConfig, transform
 
 KEYS = DeviceKeys.from_seed(321)
 
 
-def build_sofia(source, nonce=9, config=None, engine=None):
+def build_sofia(source, nonce=9, config=None, engine=None,
+                timing=DEFAULT_TIMING):
     image = transform(parse(source), KEYS, nonce=nonce,
                       config=config or TransformConfig())
-    return SofiaMachine(image, KEYS, engine=engine), image
+    return SofiaMachine(image, KEYS, timing, engine=engine), image
 
 
 COUNTER = """
@@ -119,14 +124,23 @@ class TestVanillaMachine:
 
 
 class TestSofiaMachine:
+    #: warm the keystream and seal memos before the test drives the machine
+    warm = False
+
+    def build(self, source, **kwargs):
+        machine, image = build_sofia(source, **kwargs)
+        if self.warm:
+            assert warm_front_end(machine) > 0
+        return machine, image
+
     def test_counter_program(self, engine):
-        m, _ = build_sofia(COUNTER, engine=engine)
+        m, _ = self.build(COUNTER, engine=engine)
         r = m.run()
         assert r.status is Status.EXIT or r.status is Status.HALT
         assert r.output_ints == [50]
 
     def test_blocks_and_mac_cycles_accounted(self, engine):
-        m, image = build_sofia(COUNTER, engine=engine)
+        m, image = self.build(COUNTER, engine=engine)
         r = m.run()
         assert r.blocks_executed > 0
         assert r.mac_fetch_cycles == 2 * r.blocks_executed
@@ -139,7 +153,7 @@ class TestSofiaMachine:
             sw t1, 0(t0)
             halt
         """
-        m, image = build_sofia(source, engine=engine)
+        m, image = self.build(source, engine=engine)
         # flip a bit in the block that does the store
         m.memory.poke_code(image.code_base + 8, image.words[2] ^ 1)
         r = m.run()
@@ -148,29 +162,29 @@ class TestSofiaMachine:
         assert m.memory.mmio.actuator == []  # the store never reached MA
 
     def test_invalid_entry_offset(self, engine):
-        m, image = build_sofia(COUNTER, engine=engine)
+        m, image = self.build(COUNTER, engine=engine)
         m.state.pc = image.code_base + 12
         r = m.run()
         assert r.status is Status.RESET
         assert r.violation.kind == "invalid-entry"
 
     def test_valid_entry_wrong_edge(self, engine):
-        m, image = build_sofia(COUNTER, engine=engine)
+        m, image = self.build(COUNTER, engine=engine)
         m.state.pc = image.code_base + image.block_bytes  # block 1, no edge
         r = m.run()
         assert r.status is Status.RESET
         assert r.violation.kind in ("integrity", "fetch-fault")
 
     def test_memoization_speedup_and_correctness(self):
-        m1, _ = build_sofia(COUNTER)
-        m2, _ = build_sofia(COUNTER)
+        m1, _ = self.build(COUNTER)
+        m2, _ = self.build(COUNTER)
         m2.memoize = False
         r1, r2 = m1.run(), m2.run()
         assert r1.output_ints == r2.output_ints
         assert r1.cycles == r2.cycles
 
     def test_code_write_drops_only_the_written_block(self, engine):
-        m, image = build_sofia(COUNTER, engine=engine)
+        m, image = self.build(COUNTER, engine=engine)
         assert m.run().status is Status.HALT
         target = image.symbols["loop"] + 8   # M2, fetched on every path
         base = image.block_base_of(target)
@@ -208,7 +222,7 @@ class TestSofiaMachine:
     def test_runtime_injection_detected(self, engine):
         # tamper *while running*: the next traversal of the loop block
         # re-verifies and catches it (poke M2, fetched on every path)
-        m, image = build_sofia(COUNTER, engine=engine)
+        m, image = self.build(COUNTER, engine=engine)
         m.run(max_instructions=30)
         target = image.symbols["loop"] + 8
         m.memory.poke_code(target, 0x12345678)
@@ -218,29 +232,34 @@ class TestSofiaMachine:
 
     def test_small_block_configuration_runs(self, engine):
         config = TransformConfig(block_words=6)
-        m, image = build_sofia(COUNTER, config=config, engine=engine)
+        m, image = self.build(COUNTER, config=config, engine=engine)
         r = m.run()
         assert r.output_ints == [50]
         assert image.block_words == 6
 
     def test_sofia_slower_than_vanilla(self):
         vanilla = VanillaMachine(assemble_text(COUNTER)).run()
-        m, _ = build_sofia(COUNTER)
+        m, _ = self.build(COUNTER)
         sofia = m.run()
         assert sofia.cycles > vanilla.cycles
         assert sofia.instructions >= vanilla.instructions  # padding nops
 
     def test_timing_params_affect_cycles(self):
         slow = TimingParams(branch_taken_penalty=10)
-        image = transform(parse(COUNTER), KEYS, nonce=9)
-        fast_r = SofiaMachine(image, KEYS).run()
-        slow_r = SofiaMachine(image, KEYS, timing=slow).run()
+        fast_r = self.build(COUNTER)[0].run()
+        slow_r = self.build(COUNTER, timing=slow)[0].run()
         assert slow_r.cycles > fast_r.cycles
 
     def test_result_summary_renders(self):
-        m, _ = build_sofia(COUNTER)
+        m, _ = self.build(COUNTER)
         text = m.run().summary()
         assert "status=" in text and "cycles=" in text
+
+
+class TestWarmedSofiaMachine(TestSofiaMachine):
+    """The same contract on a pre-warmed front end: warming fills only
+    pure memos, so no run, violation or invalidation may differ."""
+    warm = True
 
 
 class TestMachineLifetime:

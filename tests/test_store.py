@@ -40,7 +40,7 @@ class TestTaskKey:
         assert task_key("fault", {"seed": 2}, {"bit": 3}) != base
         assert task_key("fault", {"seed": 1}, {"bit": 4}) != base
         assert task_key("fault", {"seed": 1}, {"bit": 3},
-                        engine="batch") != base
+                        engine="reference") != base
         assert task_key("fault", {"seed": 1}, {"bit": 3},
                         code="other") != base
 
